@@ -12,13 +12,14 @@ Subcommands:
       Distinguishability report for the pair (symbol, iterate(symbol, k)).
       Without --csv the CSV goes to stdout and the verdict to stderr;
       with --csv the CSV goes to the file and a JSON summary to stdout.
-  verify SUITE [--r R] [--file FILE] [--tol T] [--jobs N] [--seed SEED]
+  verify SUITE [--r R] [--file FILE] [--tol T] [--seed SEED]
       Run a named identity suite; prints one line per property.
   dedekind B A
       Exact Dedekind sum as {"b", "a", "sum", "value"}.
 
-Exit codes: 0 success; 1 domain error (one line "error: ..." on stderr);
-2 verification-suite failure (each failed property listed).
+Exit codes: 0 success; 1 domain error, exceeded memory limit or failed
+reality check (one line "error: ..." on stderr); 2 verification-suite
+failure (each failed property listed).
 
 Triangulation files are taken as paths when they exist, otherwise looked
 up by name in the asset directory (QUANTUM3_ASSETS overrides it).
@@ -349,7 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("exact", "float"), default="exact",
         help="cyclotomic accumulation or the float engine",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker count")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes for --method exact only (default 1)",
+    )
     p.set_defaults(handler=_cmd_statesum)
 
     p = sub.add_parser("seifert", help="invariant of a Seifert symbol")
@@ -376,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=5, help="level for level-based suites")
     p.add_argument("--file", help="triangulation path or asset name")
     p.add_argument("--tol", type=float, default=1e-8, help="relative tolerance")
-    p.add_argument("--jobs", type=int, default=1, help="worker count")
     p.add_argument("--seed", type=int, default=20260815, help="RNG seed")
     p.set_defaults(handler=_cmd_verify)
 
@@ -395,7 +398,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args, sys.stdout)
-    except (ValueError, TriangulationError, OSError) as exc:
+    except (
+        ValueError, TriangulationError, OSError, MemoryError, ArithmeticError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

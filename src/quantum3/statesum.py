@@ -125,117 +125,12 @@ def coloring_weight(t: Triangulation, c: Coloring) -> CycloNum:
     return out
 
 
-def _min_fill_order(t: Triangulation) -> tuple[int, ...]:
-    """Assignment order from a reversed min-fill elimination of the graph
-    whose vertices are edge ids and whose cliques are the tetrahedra."""
-    n = len(t.edges)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for slots in t.tet_edges:
-        for a in slots:
-            adj[a].update(x for x in slots if x != a)
-    remaining = set(range(n))
-    out: list[int] = []
-    while remaining:
-        best_key = None
-        best_e = -1
-        for e in sorted(remaining):
-            nb = sorted(adj[e] & remaining)
-            fill = sum(
-                1
-                for q1 in range(len(nb))
-                for q2 in range(q1 + 1, len(nb))
-                if nb[q2] not in adj[nb[q1]]
-            )
-            key = (fill, len(nb), e)
-            if best_key is None or key < best_key:
-                best_key, best_e = key, e
-        nb = sorted(adj[best_e] & remaining)
-        for q1 in range(len(nb)):
-            for q2 in range(q1 + 1, len(nb)):
-                adj[nb[q1]].add(nb[q2])
-                adj[nb[q2]].add(nb[q1])
-        out.append(best_e)
-        remaining.discard(best_e)
-    return tuple(reversed(out))
-
-
-def _frontier_widths(t: Triangulation, order: tuple[int, ...]) -> list[int]:
-    pos = {e: p for p, e in enumerate(order)}
-    last_use = {e: pos[e] for e in range(len(order))}
-    for f in t.face_edges:
-        fp = max(pos[e] for e in f)
-        for e in f:
-            last_use[e] = max(last_use[e], fp)
-    for slots in t.tet_edges:
-        tp = max(pos[e] for e in slots)
-        for e in slots:
-            last_use[e] = max(last_use[e], tp)
-    widths = []
-    active = 0
-    drops = [0] * (len(order) + 1)
-    for p, e in enumerate(order):
-        active += 1
-        drops[last_use[e]] += 1
-        active -= drops[p]
-        widths.append(active)
-    return widths
-
-
-def _boundary_greedy_order(t: Triangulation) -> tuple[int, ...]:
-    """Assignment order that grows the frontier as slowly as possible: pick
-    the edge whose assignment leaves the fewest edges still waiting on an
-    incomplete face or tetrahedron, breaking ties toward completing more
-    tetrahedra and then the lowest id."""
-    n = len(t.edges)
-    factors = [set(f) for f in t.face_edges] + [set(slots) for slots in t.tet_edges]
-    edge_factors: list[list[int]] = [[] for _ in range(n)]
-    for f_id, members in enumerate(factors):
-        for e in members:
-            edge_factors[e].append(f_id)
-    assigned: set[int] = set()
-    order: list[int] = []
-    for _ in range(n):
-        best_key = None
-        best_e = -1
-        for e in range(n):
-            if e in assigned:
-                continue
-            trial = assigned | {e}
-            boundary = sum(
-                1
-                for x in trial
-                if any(not factors[f_id] <= trial for f_id in edge_factors[x])
-            )
-            completed = sum(1 for f_id in edge_factors[e] if factors[f_id] <= trial)
-            key = (boundary, -completed, e)
-            if best_key is None or key < best_key:
-                best_key, best_e = key, e
-        assigned.add(best_e)
-        order.append(best_e)
-    return tuple(order)
-
-
-def _assignment_order(t: Triangulation) -> tuple[int, ...]:
-    """Pick the candidate order with the smallest frontier, preferring the
-    smaller peak width and then the smaller total width."""
-    candidates = [
-        tuple(greedy_edge_order(t)),
-        _min_fill_order(t),
-        _min_fill_order(t)[::-1],
-        _boundary_greedy_order(t),
-    ]
-    scored = []
-    for c in candidates:
-        w = _frontier_widths(t, c)
-        scored.append((max(w), sum(w), c))
-    return min(scored)[2]
-
-
 class _Schedule:
-    """Static elimination data for the frontier sum over one triangulation."""
+    """Static elimination data for the frontier sum over one triangulation,
+    in the greedy face-completing assignment order."""
 
-    def __init__(self, t: Triangulation, order: tuple[int, ...] | None = None):
-        order = _assignment_order(t) if order is None else tuple(order)
+    def __init__(self, t: Triangulation):
+        order = greedy_edge_order(t)
         pos = {e: p for p, e in enumerate(order)}
         n = len(order)
         face_pos = [max(pos[e] for e in f) for f in t.face_edges]
@@ -281,13 +176,12 @@ class _Schedule:
 
 
 def _run_frontier(
-    t: Triangulation,
+    sched: _Schedule,
     r: int,
     even_only: bool,
     evaluator,
     zero,
     pin_first: int | None = None,
-    order: tuple[int, ...] | None = None,
 ) -> tuple[object, int]:
     """Sum evaluator-images of coloring weights over all admissible colorings.
 
@@ -295,7 +189,6 @@ def _run_frontier(
     for the exact path, ev(., s) for the float path); zero is the additive
     identity there.  Returns (grand total, coloring count).
     """
-    sched = _Schedule(t, order)
     allowed = color_range(r, even_only)
     n = len(sched.order)
     # state slot holds the coloring count in [0] and the partial sum in [1]
@@ -390,6 +283,11 @@ def _coprime_representatives(r: int, even_only: bool) -> tuple[int, ...]:
     )
 
 
+# Live states the vector engine may hold after a merge; past it the sum
+# raises MemoryError instead of exhausting the machine.
+_STATE_CAP = 60_000_000
+
+
 class _SortedAccumulator:
     """Key-sorted arrays of (value rows, counts) merged incrementally.
 
@@ -403,7 +301,6 @@ class _SortedAccumulator:
         self._np = np_mod
         self._ns = ns
         self._with_counts = with_counts
-        self.state_cap = 60_000_000
         self.keys = np_mod.empty(0, dtype=np_mod.int64)
         self.vals = np_mod.empty((0, ns), dtype=np_mod.complex128)
         self.cnts = np_mod.empty(0, dtype=np_mod.int64) if with_counts else None
@@ -454,9 +351,9 @@ class _SortedAccumulator:
             self.vals = np.insert(self.vals, where, pv[miss], axis=0)
             if self._with_counts:
                 self.cnts = np.insert(self.cnts, where, pc[miss])
-        if len(self.keys) > self.state_cap:
+        if len(self.keys) > _STATE_CAP:
             raise MemoryError(
-                f"frontier exceeded {self.state_cap} states ({len(self.keys)})"
+                f"frontier exceeded {_STATE_CAP} states ({len(self.keys)})"
             )
 
 
@@ -492,38 +389,34 @@ def _vector_tables(np, r: int, s_values: tuple[int, ...]):
 
 
 def _run_frontier_vector(
-    t: Triangulation,
+    sched: _Schedule,
     r: int,
     even_only: bool,
     s_values: tuple[int, ...],
-    order: tuple[int, ...] | None = None,
+    tables,
     pins: dict[int, int] | None = None,
-    tables=None,
-    slice_rows: int = 2_000_000,
-    state_cap: int = 60_000_000,
     peak_out: list | None = None,
 ) -> tuple[dict[int, complex], int]:
     """Float-path frontier sum vectorized over states: base-(r-1) packed
-    int64 keys and one complex column per requested s.  With empty
-    s_values the sweep carries an int64 count column instead (count-only
-    probe).  Parents stream through in slices and are released before the
-    final merge of a step, so peak memory is a small multiple of bytes
-    per live state.  pins fixes chosen edge colors, restricting the sweep
-    to that slice of the coloring set; summing over all pin colors
-    recovers the full sum while dividing the live state count.  Raises
-    MemoryError at state_cap instead of exhausting the machine."""
+    int64 keys and one complex column per requested s, weights read from
+    tables (see _vector_tables).  With empty s_values the sweep carries an
+    int64 count column instead (count-only probe).  Parents stream through
+    in slices and are released before the final merge of a step, so peak
+    memory is a small multiple of bytes per live state.  pins fixes chosen
+    edge colors, restricting the sweep to that slice of the coloring set;
+    summing over all pin colors recovers the full sum while dividing the
+    live state count.  Raises MemoryError past _STATE_CAP live states
+    instead of exhausting the machine."""
     import numpy as np
 
     k = r - 1
-    sched = _Schedule(t, order=order)
+    slice_rows = 2_000_000
     max_width = max((len(a) for a in sched.active_after), default=0)
     if k ** max(max_width, 1) > 2 ** 62:
         raise ValueError(f"frontier too wide to pack: {max_width} edges at base {k}")
     allowed = color_range(r, even_only)
     pins = pins or {}
     ns = len(s_values)
-    if tables is None:
-        tables = _vector_tables(np, r, s_values)
     edge_tab, face_adm, face_tab, tet_tab = tables
     with_counts = ns == 0
 
@@ -531,11 +424,9 @@ def _run_frontier_vector(
     vals = np.ones((1, ns), dtype=np.complex128)
     cnts = np.ones(1, dtype=np.int64) if with_counts else None
     for p, e in enumerate(sched.order):
-        before = sched.active_after[p - 1] if p else ()
+        before_pos = sched.before_index[p]
         after = sched.active_after[p]
-        before_pos = {eid: q for q, eid in enumerate(before)}
         acc = _SortedAccumulator(np, ns, with_counts)
-        acc.state_cap = state_cap
         n_rows = len(keys)
         colors = (pins[e],) if e in pins else allowed
         for lo in range(0, n_rows, slice_rows):
@@ -613,7 +504,6 @@ def _vector_grand_sums(
 
     budget = 650_000_000
     safety = 2.6
-    cap = 60_000_000
     allowed = color_range(r, even_only)
     sched = _Schedule(t)
     tables = _vector_tables(np, r, reps)
@@ -635,8 +525,7 @@ def _vector_grand_sums(
     pos = {e: i for i, e in enumerate(sched.order)}
     peaks: list[int] = []
     _, count = _run_frontier_vector(
-        t, r, even_only, (), order=sched.order, tables=probe_tables,
-        state_cap=cap, peak_out=peaks,
+        sched, r, even_only, (), probe_tables, peak_out=peaks
     )
     branch_peak = max(peaks, default=0)
     pin_edges: list[int] = []
@@ -655,9 +544,8 @@ def _vector_grand_sums(
         pin_edges.append(min(candidates, key=pos.__getitem__))
         peaks = []
         _run_frontier_vector(
-            t, r, even_only, (), order=sched.order, tables=probe_tables,
-            pins={e: allowed[0] for e in pin_edges}, state_cap=cap,
-            peak_out=peaks,
+            sched, r, even_only, (), probe_tables,
+            pins={e: allowed[0] for e in pin_edges}, peak_out=peaks,
         )
         branch_peak = max(peaks, default=0)
     nb = next(
@@ -672,18 +560,14 @@ def _vector_grand_sums(
             total = {s: 0j for s in sub_s}
             for combo in iproduct(allowed, repeat=len(pin_edges)):
                 g, _ = _run_frontier_vector(
-                    t, r, even_only, sub_s, order=sched.order,
-                    tables=sub_tables, pins=dict(zip(pin_edges, combo)),
-                    state_cap=cap,
+                    sched, r, even_only, sub_s, sub_tables,
+                    pins=dict(zip(pin_edges, combo)),
                 )
                 for s in sub_s:
                     total[s] += g[s]
             grands.update(total)
         else:
-            g, _ = _run_frontier_vector(
-                t, r, even_only, sub_s, order=sched.order,
-                tables=sub_tables, state_cap=cap,
-            )
+            g, _ = _run_frontier_vector(sched, r, even_only, sub_s, sub_tables)
             grands.update(g)
     return grands, count
 
@@ -700,7 +584,7 @@ def _float_grand_sum(t: Triangulation, r: int, even_only: bool, s: int) -> tuple
             per_tri[key] = _vector_grand_sums(t, r, even_only, reps)
         except ImportError:
             grand, count = _run_frontier(
-                t, r, even_only, evaluator=lambda w: w.evaluate(s), zero=0j
+                _Schedule(t), r, even_only, evaluator=lambda w: w.evaluate(s), zero=0j
             )
             return grand, count
     grands, count = per_tri[key]
@@ -710,34 +594,35 @@ def _float_grand_sum(t: Triangulation, r: int, even_only: bool, s: int) -> tuple
     return grands[2 * r - s_norm].conjugate(), count
 
 
-def _exact_grand_sum(t: Triangulation, r: int, even_only: bool) -> tuple[CycloNum, int]:
+def _exact_grand_sum(
+    t: Triangulation, r: int, even_only: bool, jobs: int
+) -> tuple[CycloNum, int]:
+    """Exact grand sum and coloring count, cached per triangulation.  With
+    jobs > 1 the sum splits over the colors of the first assigned edge,
+    one branch per pool task; the branches add up to the same CycloNum."""
     per_tri = _GRAND_CACHE.setdefault(t, {})
     key = (r, even_only)
     if key not in per_tri:
-        per_tri[key] = _run_frontier(
-            t, r, even_only, evaluator=lambda w: w, zero=CycloNum.zero(r)
-        )
+        sched = _Schedule(t)
+        if jobs > 1:
+            pins = color_range(r, even_only)
+            with multiprocessing.Pool(min(jobs, len(pins))) as pool:
+                parts = pool.starmap(_pinned_exact, [(sched, r, even_only, x) for x in pins])
+            total = CycloNum.zero(r)
+            count = 0
+            for val, cnt in parts:
+                total = total + val
+                count += cnt
+            per_tri[key] = (total, count)
+        else:
+            per_tri[key] = _run_frontier(
+                sched, r, even_only, evaluator=lambda w: w, zero=CycloNum.zero(r)
+            )
     return per_tri[key]
 
 
-def _parallel_exact_grand_sum(t: Triangulation, r: int, even_only: bool, jobs: int) -> tuple[CycloNum, int]:
-    per_tri = _GRAND_CACHE.setdefault(t, {})
-    key = (r, even_only)
-    if key not in per_tri:
-        pins = color_range(r, even_only)
-        with multiprocessing.Pool(min(jobs, len(pins))) as pool:
-            parts = pool.starmap(_pinned_exact, [(t, r, even_only, x) for x in pins])
-        total = CycloNum.zero(r)
-        count = 0
-        for val, cnt in parts:
-            total = total + val
-            count += cnt
-        per_tri[key] = (total, count)
-    return per_tri[key]
-
-
-def _pinned_exact(t: Triangulation, r: int, even_only: bool, pin: int) -> tuple[CycloNum, int]:
-    return _run_frontier(t, r, even_only, evaluator=lambda w: w, zero=CycloNum.zero(r), pin_first=pin)
+def _pinned_exact(sched: _Schedule, r: int, even_only: bool, pin: int) -> tuple[CycloNum, int]:
+    return _run_frontier(sched, r, even_only, evaluator=lambda w: w, zero=CycloNum.zero(r), pin_first=pin)
 
 
 def _prefactor(r: int, refined: bool) -> CycloNum:
@@ -767,10 +652,7 @@ def _state_sum(
         if s % 2:
             raise ValueError("refined invariant requires even s")
     if method == "exact":
-        if jobs > 1:
-            grand, count = _parallel_exact_grand_sum(t, r, refined, jobs)
-        else:
-            grand, count = _exact_grand_sum(t, r, refined)
+        grand, count = _exact_grand_sum(t, r, refined, jobs)
         total = _prefactor(r, refined) ** t.vertex_count * grand
         raw = total.evaluate(s)
     elif method == "float":

@@ -1,10 +1,7 @@
 """Acceptance gate: one test per shipped guarantee, at its stated tolerance.
 
 Each criterion below runs end to end against the public API; a failure line
-names the guarantee it breaks.  Criterion 5 includes the n = 0 fiber count,
-where the unit-certificate closed form provably departs from the directly
-computed invariant; that case is expected to fail and the assertion message
-carries the analysis.
+names the guarantee it breaks.
 """
 
 import math
@@ -102,20 +99,9 @@ def test_criterion_05_hansen_vs_closed_form(a, g, n):
     measured = abs(hansen_ratio(sym, a)) ** 2
     closed = tv_closed_form(sym, 1, a=a)
     assert not isinstance(closed, Vanishing)
-    note = ""
-    if n == 0:
-        note = (
-            "  [known defect: with no exceptional fibers the manifold is the "
-            "flat circle bundle, whose invariant is 1 (g=0) or (a-1)^2 (g=1); "
-            "the closed form extrapolated to n=0 instead gives "
-            "16 sin^4(pi/a)/a^2 (g=0) or 4 (g=1).  The certificate formula "
-            "needs at least one fiber pair to represent the manifold, so the "
-            "n=0 rows of this criterion cannot be met by any correct "
-            "implementation.]"
-        )
     assert measured == pytest.approx(closed, rel=1e-8), (
         f"(g={g}; (a,+-1) x {n}) at a={a}: squared ratio {measured:.12g} vs "
-        f"closed form {closed:.12g}.{note}"
+        f"closed form {closed:.12g}."
     )
 
 

@@ -166,6 +166,24 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "exc",
+    [
+        MemoryError("frontier exceeded 60000000 states (60000001)"),
+        ArithmeticError("state sum lost reality: (1+1j)"),
+    ],
+)
+def test_engine_limits_exit_1(exc, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("quantum3.cli.tv", fail)
+    code, out, err = run(capsys, "statesum", "s2xs1", "--r", "5")
+    assert code == 1 and out == ""
+    assert err == f"error: {exc}\n"
+    assert "Traceback" not in err
+
+
 def test_flag_errors_exit_1(capsys):
     assert run(capsys, "statesum")[0] == 1
     assert run(capsys, "verify", "nosuite")[0] == 1

@@ -12,6 +12,7 @@ from quantum3.complex3 import (
     Triangulation,
     disjoint_union,
     enumerate_admissible,
+    greedy_edge_order,
     is_admissible,
     load_asset,
     normal_surface_euler_parity,
@@ -20,6 +21,7 @@ from quantum3.complex3 import (
 from quantum3.cyclo import CycloNum
 from quantum3.statesum import (
     StateSumResult,
+    _Schedule,
     _tet_weight,
     coloring_weight,
     tv,
@@ -336,6 +338,16 @@ def test_parallel_jobs_bit_identical():
     assert multi.raw == lone.raw
     assert multi.value == lone.value
     assert multi.coloring_count == lone.coloring_count
+
+
+@pytest.mark.parametrize(
+    "name, peak_width", [("s3_boundary4simplex", 9), ("s2xs1", 18)]
+)
+def test_schedule_is_greedy_with_known_peak_width(name, peak_width):
+    t = load_asset(name)
+    sched = _Schedule(t)
+    assert sched.order == greedy_edge_order(t)
+    assert max(len(a) for a in sched.active_after) == peak_width
 
 
 def test_repeated_calls_are_consistent():
