@@ -19,11 +19,13 @@ frontier of active edges.
 
 from __future__ import annotations
 
+import heapq
 import math
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from weakref import WeakKeyDictionary
 
 from quantum3.complex3 import (
@@ -157,6 +159,25 @@ class _Schedule:
             assigned.append(e)
             self.active_after.append(tuple(sorted(x for x in assigned if last_use[x] > p)))
 
+        # Key slot of every edge that outlives its own step, held from its
+        # assignment to its retirement.  Assigning by start time and
+        # reusing the lowest freed slot (a retiring edge frees its slot to
+        # the edge assigned at the same step) colors the interval graph
+        # optimally, so slot_count is the peak frontier width.
+        self.slot: dict[int, int] = {}
+        self.slot_count = 0
+        free: list[int] = []
+        for p, e in enumerate(order):
+            before = self.active_after[p - 1] if p else ()
+            for x in before:
+                if x not in self.active_after[p]:
+                    heapq.heappush(free, self.slot[x])
+            if e in self.active_after[p]:
+                if not free:
+                    free.append(self.slot_count)
+                    self.slot_count += 1
+                self.slot[e] = heapq.heappop(free)
+
         # Per position: index maps for state projection and rebuilding.
         self.before_index: list[dict[int, int]] = []
         self.relevant_idx: list[tuple[int, ...]] = []  # -1 stands for the new edge
@@ -286,96 +307,117 @@ def _coprime_representatives(r: int, even_only: bool) -> tuple[int, ...]:
 # Live states the vector engine may hold after a merge; past it the sum
 # raises MemoryError instead of exhausting the machine.
 _STATE_CAP = 60_000_000
+# Bytes a vector sweep may plan for; its row limit, and the pinning and
+# column batching of sums that do not fit, are sized against it.
+_MEMORY_BUDGET = 650_000_000
+
+
+class _RowLimit(MemoryError):
+    """A vector sweep held more live states than its row limit allows."""
+
+
+def _key_bits(sched: _Schedule, n_colors: int) -> int:
+    """Bits per key slot for color indices 0..n_colors-1; raises
+    ValueError when sched.slot_count slots do not fit an int64 key."""
+    bits = max(1, (n_colors - 1).bit_length())
+    if bits * sched.slot_count > 62:
+        raise ValueError(
+            f"frontier too wide to pack: {sched.slot_count} slots of {bits} bits"
+        )
+    return bits
+
+
+def _sort_reduce(np, keys, vals, cnts):
+    """Rows sorted by key, rows with equal keys summed in input order.
+
+    Pass freshly made arrays, held by no other name: each input is then
+    freed as soon as its sorted or reduced form exists."""
+    if (keys[1:] > keys[:-1]).all():
+        return keys, vals, cnts
+    order = np.argsort(keys, kind="stable")
+    keys = keys.take(order)
+    new_key = keys[1:] != keys[:-1]
+    if new_key.all():
+        return keys, vals.take(order, axis=0), cnts.take(order)
+    starts = np.flatnonzero(np.concatenate(([True], new_key)))
+    del new_key
+    out = np.empty((len(starts), vals.shape[1]), dtype=vals.dtype)
+    for c in range(vals.shape[1]):
+        out[:, c] = np.add.reduceat(vals[:, c].take(order), starts)
+    del vals
+    cnts = np.add.reduceat(cnts.take(order), starts)
+    return keys.take(starts), out, cnts
+
+
+def _drain(np, chunks: list):
+    """The chunks concatenated; the list is emptied so they can be freed."""
+    out = np.concatenate(chunks)
+    chunks.clear()
+    return out
 
 
 class _SortedAccumulator:
-    """Key-sorted arrays of (value rows, counts) merged incrementally.
+    """The transitions of one frontier step, merged once.
 
-    Incoming chunks are deduplicated by a local sort, then folded into
-    the accumulator with searchsorted plus a single insert, so memory
-    never holds more than the accumulator, one pending batch, and the
-    insert copy.  A full argsort over all transitions of a step would
-    transiently need several times that."""
+    add() sorts each batch by key and sums its rows with equal keys, so
+    every batch is kept as a sorted run with unique keys.  flush()
+    concatenates the runs, dropping each list of runs as soon as it is
+    copied, then does one stable sort (timsort merges the presorted runs)
+    and one reduceat."""
 
-    def __init__(self, np_mod, ns: int, with_counts: bool) -> None:
+    def __init__(self, np_mod, ns: int) -> None:
         self._np = np_mod
         self._ns = ns
-        self._with_counts = with_counts
-        self.keys = np_mod.empty(0, dtype=np_mod.int64)
-        self.vals = np_mod.empty((0, ns), dtype=np_mod.complex128)
-        self.cnts = np_mod.empty(0, dtype=np_mod.int64) if with_counts else None
-        self._pend_k: list = []
-        self._pend_v: list = []
-        self._pend_c: list = []
-        self._pend_rows = 0
+        self._keys: list = []
+        self._vals: list = []
+        self._cnts: list = []
 
     def add(self, keys, vals, cnts) -> None:
-        self._pend_k.append(keys)
-        self._pend_v.append(vals)
-        if self._with_counts:
-            self._pend_c.append(cnts)
-        self._pend_rows += len(keys)
-        if self._pend_rows >= 8_000_000:
-            self.flush()
+        keys, vals, cnts = _sort_reduce(self._np, keys, vals, cnts)
+        self._keys.append(keys)
+        self._vals.append(vals)
+        self._cnts.append(cnts)
 
-    def flush(self) -> None:
-        if not self._pend_rows:
-            return
+    def flush(self):
+        """(keys, vals, cnts) of the step: sorted unique int64 keys, an
+        (n, ns) complex value array and int64 coloring counts."""
         np = self._np
-        pk = np.concatenate(self._pend_k)
-        pv = np.concatenate(self._pend_v)
-        pc = np.concatenate(self._pend_c) if self._with_counts else None
-        self._pend_k, self._pend_v, self._pend_c, self._pend_rows = [], [], [], 0
-        order = np.argsort(pk, kind="stable")
-        pk = pk[order]
-        starts = np.nonzero(np.concatenate(([True], pk[1:] != pk[:-1])))[0]
-        pk = pk[starts]
-        pv = np.add.reduceat(pv[order], starts, axis=0)
-        if self._with_counts:
-            pc = np.add.reduceat(pc[order], starts)
-        pos = np.searchsorted(self.keys, pk)
-        if len(self.keys):
-            hit = (pos < len(self.keys)) & (
-                self.keys[np.minimum(pos, len(self.keys) - 1)] == pk
+        if not self._keys:
+            return (
+                np.empty(0, dtype=np.int64),
+                np.empty((0, self._ns), dtype=np.complex128),
+                np.empty(0, dtype=np.int64),
             )
-        else:
-            hit = np.zeros(len(pk), dtype=bool)
-        if hit.any():
-            self.vals[pos[hit]] += pv[hit]
-            if self._with_counts:
-                self.cnts[pos[hit]] += pc[hit]
-        miss = ~hit
-        if miss.any():
-            where = pos[miss]
-            self.keys = np.insert(self.keys, where, pk[miss])
-            self.vals = np.insert(self.vals, where, pv[miss], axis=0)
-            if self._with_counts:
-                self.cnts = np.insert(self.cnts, where, pc[miss])
-        if len(self.keys) > _STATE_CAP:
-            raise MemoryError(
-                f"frontier exceeded {_STATE_CAP} states ({len(self.keys)})"
-            )
+        return _sort_reduce(
+            np,
+            _drain(np, self._keys),
+            _drain(np, self._vals),
+            _drain(np, self._cnts),
+        )
 
 
-def _vector_tables(np, r: int, s_values: tuple[int, ...]):
-    """Admissibility and weight lookup tables for the vector engine."""
+def _vector_tables(np, r: int, colors: tuple[int, ...], s_values: tuple[int, ...]):
+    """Admissibility and weight lookup tables for the vector engine,
+    indexed by position in colors (the engine's key digits)."""
     from itertools import product as iproduct
 
-    k = r - 1
+    nc = len(colors)
     ns = len(s_values)
     edge_tab = np.array(
-        [[_edge_weight(i, r).evaluate(s) for s in s_values] for i in range(k)],
+        [[_edge_weight(i, r).evaluate(s) for s in s_values] for i in colors],
         dtype=np.complex128,
-    ).reshape(k, ns)
-    face_adm = np.zeros((k, k, k), dtype=bool)
-    face_tab = np.zeros((k, k, k, ns), dtype=np.complex128)
-    for tri in iproduct(range(k), repeat=3):
+    ).reshape(nc, ns)
+    face_adm = np.zeros((nc, nc, nc), dtype=bool)
+    face_tab = np.zeros((nc, nc, nc, ns), dtype=np.complex128)
+    for idx in iproduct(range(nc), repeat=3):
+        tri = tuple(colors[d] for d in idx)
         if admissible_triple(*tri, r):
-            face_adm[tri] = True
+            face_adm[idx] = True
             w = _face_weight(*tri, r)
-            face_tab[tri] = [w.evaluate(s) for s in s_values]
-    tet_tab = np.zeros((k,) * 6 + (ns,), dtype=np.complex128)
-    for tup in iproduct(range(k), repeat=6):
+            face_tab[idx] = [w.evaluate(s) for s in s_values]
+    tet_tab = np.zeros((nc,) * 6 + (ns,), dtype=np.complex128)
+    for idx in iproduct(range(nc), repeat=6):
+        tup = tuple(colors[d] for d in idx)
         i, j, kk, l, m, n = tup
         if (
             admissible_triple(i, j, kk, r)
@@ -384,7 +426,7 @@ def _vector_tables(np, r: int, s_values: tuple[int, ...]):
             and admissible_triple(kk, l, m, r)
         ):
             w = _tet_weight(*tup, r)
-            tet_tab[tup] = [w.evaluate(s) for s in s_values]
+            tet_tab[idx] = [w.evaluate(s) for s in s_values]
     return edge_tab, face_adm, face_tab, tet_tab
 
 
@@ -396,94 +438,135 @@ def _run_frontier_vector(
     tables,
     pins: dict[int, int] | None = None,
     peak_out: list | None = None,
+    row_limit: int = _STATE_CAP,
 ) -> tuple[dict[int, complex], int]:
-    """Float-path frontier sum vectorized over states: base-(r-1) packed
-    int64 keys and one complex column per requested s, weights read from
-    tables (see _vector_tables).  With empty s_values the sweep carries an
-    int64 count column instead (count-only probe).  Parents stream through
-    in slices and are released before the final merge of a step, so peak
-    memory is a small multiple of bytes per live state.  pins fixes chosen
-    edge colors, restricting the sweep to that slice of the coloring set;
-    summing over all pin colors recovers the full sum while dividing the
-    live state count.  Raises MemoryError past _STATE_CAP live states
-    instead of exhausting the machine."""
+    """Float-path frontier sum vectorized over states.  Returns the grand
+    sum per requested s and the coloring count.
+
+    A state row is an int64 key, an int64 coloring count and one complex
+    column per s (none for a count-only probe); weights are read from
+    tables (see _vector_tables).  The key holds the color index of every
+    frontier edge in that edge's bit slot (_Schedule.slot), so a digit is
+    a shift and a mask and a child key is (parent & kept slots) | (x <<
+    slot of the new edge).  Parents stream through in slices, each color
+    of a slice becomes one sorted run, and the step ends with one merge
+    (_SortedAccumulator.flush).  pins fixes chosen edge colors,
+    restricting the sweep to that slice of the coloring set; summing over
+    all pin colors recovers the full sum while dividing the live state
+    count.  peak_out, when given, receives the live states after every
+    step.  Raises _RowLimit (a MemoryError) as soon as a step leaves more
+    than row_limit live states, and ArithmeticError before a step whose
+    counts could pass int64."""
     import numpy as np
 
-    k = r - 1
+    colors = color_range(r, even_only)
+    nc = len(colors)
+    bits = _key_bits(sched, nc)
+    digit_mask = (1 << bits) - 1
+    shift = {e: bits * q for e, q in sched.slot.items()}
     slice_rows = 2_000_000
-    max_width = max((len(a) for a in sched.active_after), default=0)
-    if k ** max(max_width, 1) > 2 ** 62:
-        raise ValueError(f"frontier too wide to pack: {max_width} edges at base {k}")
-    allowed = color_range(r, even_only)
     pins = pins or {}
     ns = len(s_values)
     edge_tab, face_adm, face_tab, tet_tab = tables
-    with_counts = ns == 0
+    adm_flat = face_adm.ravel()
+    face_flat = face_tab.reshape(nc**3, ns)
+    tet_flat = tet_tab.reshape(nc**6, ns)
 
     keys = np.zeros(1, dtype=np.int64)
     vals = np.ones((1, ns), dtype=np.complex128)
-    cnts = np.ones(1, dtype=np.int64) if with_counts else None
+    cnts = np.ones(1, dtype=np.int64)
     for p, e in enumerate(sched.order):
-        before_pos = sched.before_index[p]
+        before = sched.active_after[p - 1] if p else ()
         after = sched.active_after[p]
-        acc = _SortedAccumulator(np, ns, with_counts)
+        xs = (colors.index(pins[e]),) if e in pins else range(len(colors))
+        # A child count sums parent counts, at most one per (parent,
+        # color) pair, so no child can exceed the parents' total count
+        # times the number of colors.
+        total = int(cnts.sum())
+        if total * len(xs) >= 2**63:
+            raise ArithmeticError(
+                f"coloring count may pass int64 at step {p} "
+                f"({total} partial colorings times {len(xs)} colors)"
+            )
+        keep = np.int64(sum(digit_mask << shift[x] for x in before if x in after))
+        new_shift = shift[e] if e in after else None
+        face_checks = sched.face_checks[p]
+        tet_checks = sched.tet_checks[p]
+        # The flat table index of a check is base + x * stride: base holds
+        # the digits of its older edges, stride places the new edge's.
+        face_strides = [nc ** (2 - f.index(e)) for f in face_checks]
+        tet_strides = [nc ** (5 - slots.index(e)) for slots in tet_checks]
+        acc = _SortedAccumulator(np, ns)
         n_rows = len(keys)
-        colors = (pins[e],) if e in pins else allowed
         for lo in range(0, n_rows, slice_rows):
             sl = slice(lo, lo + slice_rows)
-            sk, sv = keys[sl], vals[sl]
-            sc = cnts[sl] if with_counts else None
+            sk, sv, sc = keys[sl], vals[sl], cnts[sl]
             if lo + slice_rows >= n_rows:
                 keys = vals = cnts = None
-            digit_cache: dict[int, object] = {}
+            kept = sk & keep
+            digits: dict[int, object] = {}
 
-            def digit(eid):
-                if eid not in digit_cache:
-                    digit_cache[eid] = (sk // k ** before_pos[eid]) % k
-                return digit_cache[eid]
-
-            for x in colors:
-                mask = None
-                for f in sched.face_checks[p]:
-                    d = [x if eid == e else digit(eid) for eid in f]
-                    adm = face_adm[d[0], d[1], d[2]]
-                    mask = adm if mask is None else mask & adm
-                if mask is None:
-                    idx = np.arange(len(sk))
-                else:
-                    if not mask.any():
+            def flat_base(check):
+                out = 0
+                for eid in check:
+                    if eid == e:
+                        out = out * nc
                         continue
-                    idx = np.nonzero(mask)[0]
+                    if eid not in digits:
+                        digits[eid] = (sk >> shift[eid]) & digit_mask
+                    out = out * nc + digits[eid]
+                return out
 
-                def cdigit(eid):
-                    return x if eid == e else digit(eid)[idx]
+            face_base = [flat_base(f) for f in face_checks]
+            tet_base = [flat_base(slots) for slots in tet_checks]
+            del digits
+            for x in xs:
+                face_idx = [b + x * w for b, w in zip(face_base, face_strides)]
+                mask = None
+                for fi in face_idx:
+                    adm = adm_flat.take(fi)
+                    mask = adm if mask is None else mask & adm
+                sel = None
+                if mask is not None:
+                    sel = np.flatnonzero(mask)
+                    if not len(sel):
+                        continue
+                    if len(sel) == len(mask):
+                        sel = None
 
-                if ns:
-                    mult = np.broadcast_to(edge_tab[x], (len(idx), ns)).copy()
-                    for f in sched.face_checks[p]:
-                        mult *= face_tab[cdigit(f[0]), cdigit(f[1]), cdigit(f[2])]
-                    for slots in sched.tet_checks[p]:
-                        d = [cdigit(eid) for eid in slots]
-                        mult *= tet_tab[d[0], d[1], d[2], d[3], d[4], d[5]]
-                    new_vals = sv[idx] * mult
-                else:
-                    new_vals = np.empty((len(idx), 0), dtype=np.complex128)
-                new_keys = np.zeros(len(idx), dtype=np.int64)
-                for q, eid in enumerate(after):
-                    new_keys += np.int64(k) ** q * (
-                        np.int64(x) if eid == e else digit(eid)[idx]
-                    )
-                acc.add(new_keys, new_vals, sc[idx] if with_counts else None)
-            del sk, sv, sc
-            digit_cache.clear()
-        acc.flush()
-        keys, vals, cnts = acc.keys, acc.vals, acc.cnts
+                def pick(a):
+                    return a if sel is None else a.take(sel, axis=0)
+
+                # Factor order edge, faces, tets, parent value, as in the
+                # dict engine's products; one gathered factor at a time.
+                factors = chain(
+                    (face_flat.take(pick(fi), axis=0) for fi in face_idx),
+                    (
+                        tet_flat.take(pick(b) + x * w, axis=0)
+                        for b, w in zip(tet_base, tet_strides)
+                    ),
+                    (pick(sv),),
+                )
+                new_vals = next(factors) * edge_tab[x]
+                for fac in factors:
+                    new_vals *= fac
+                    del fac
+                del factors, face_idx
+                child = pick(kept)
+                if new_shift is not None:
+                    child = child | np.int64(x << new_shift)
+                acc.add(child, new_vals, pick(sc))
+                del child, new_vals
+            del sk, sv, sc, kept, face_base, tet_base
+        keys, vals, cnts = acc.flush()
         if peak_out is not None:
             peak_out.append(len(keys))
+        if len(keys) > row_limit:
+            raise _RowLimit(f"frontier exceeded {row_limit} states ({len(keys)})")
         if not len(keys):
             return {s: 0j for s in s_values}, 0
-    grands = {s: complex(vals[0, col]) for col, s in enumerate(s_values)}
-    return grands, int(cnts[0]) if with_counts else 0
+    grands = {s: complex(vals[0, c]) for c, s in enumerate(s_values)}
+    return grands, int(cnts[0])
 
 
 _GRAND_CACHE: WeakKeyDictionary = WeakKeyDictionary()
@@ -493,20 +576,24 @@ _FLOAT_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 def _vector_grand_sums(
     t: Triangulation, r: int, even_only: bool, reps: tuple[int, ...]
 ) -> tuple[dict[int, complex], int]:
-    """Grand sums at every representative s via the vector engine,
-    sized to the machine: a count-only probe measures the live state
-    peak; if a direct multi-column sweep will not fit the memory budget,
-    the sum is conditioned on the colors of one or more long-lived
-    frontier edges (branch sums add up exactly), and the s columns are
-    batched to keep bytes per state row bounded."""
+    """Grand sums at every representative s via the vector engine, and
+    the coloring count.
+
+    The first sweep carries every column and stops as soon as its live
+    states pass the rows that _MEMORY_BUDGET allows; when it does not
+    stop, it is the answer.  Otherwise a count-only probe measures the
+    live state peak, the sum is conditioned on the colors of one or more
+    long-lived frontier edges until a branch fits (branch sums add up
+    exactly), and the s columns are batched to keep bytes per state row
+    bounded."""
     import numpy as np
     from itertools import product as iproduct
 
-    budget = 650_000_000
     safety = 2.6
     allowed = color_range(r, even_only)
     sched = _Schedule(t)
-    tables = _vector_tables(np, r, reps)
+    _key_bits(sched, len(allowed))  # an unpackable frontier fails before the tables
+    tables = _vector_tables(np, r, allowed, reps)
     edge_tab, face_adm, face_tab, tet_tab = tables
     ns = len(reps)
 
@@ -519,7 +606,15 @@ def _vector_grand_sums(
         )
 
     def fit_rows(nb: int) -> int:
-        return int(budget / ((8 + 16 * nb) * safety))
+        # a row: int64 key, int64 count, nb complex128 columns
+        return int(_MEMORY_BUDGET / ((16 + 16 * nb) * safety))
+
+    try:
+        return _run_frontier_vector(
+            sched, r, even_only, reps, tables, row_limit=fit_rows(ns)
+        )
+    except _RowLimit:
+        pass
 
     probe_tables = sliced(0, 0)
     pos = {e: i for i, e in enumerate(sched.order)}

@@ -6,9 +6,11 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from weakref import WeakKeyDictionary
 
 import pytest
 
+from quantum3 import statesum
 from quantum3.cli import main
 from quantum3.complex3 import asset_dir
 
@@ -45,12 +47,16 @@ def test_statesum_asset_dir_override(tmp_path, monkeypatch, capsys):
     assert abs(json.loads(out)["value"] - 0.5) < 1e-9
 
 
-def test_statesum_exact_output_is_deterministic(capsys):
+def test_statesum_exact_output_is_deterministic(capsys, monkeypatch, pool_calls):
     _, out_a, _ = run(capsys, "statesum", "s3_boundary4simplex", "--r", "5", "--s", "2")
+    # The asset object is shared, so drop its cached grand sum: the
+    # --jobs 2 run must compute through the pool.
+    monkeypatch.setattr(statesum, "_GRAND_CACHE", WeakKeyDictionary())
     _, out_b, _ = run(
         capsys, "statesum", "s3_boundary4simplex", "--r", "5", "--s", "2",
         "--jobs", "2",
     )
+    assert len(pool_calls) == 1
     assert out_a == out_b
 
 

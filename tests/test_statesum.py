@@ -4,9 +4,11 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from weakref import WeakKeyDictionary
 
 import pytest
 
+from quantum3 import statesum
 from quantum3.complex3 import (
     Coloring,
     Triangulation,
@@ -21,6 +23,7 @@ from quantum3.complex3 import (
 from quantum3.cyclo import CycloNum
 from quantum3.statesum import (
     StateSumResult,
+    _key_bits,
     _Schedule,
     _tet_weight,
     coloring_weight,
@@ -331,10 +334,12 @@ def test_float_method_matches_exact():
             assert a.coloring_count == b.coloring_count
 
 
-def test_parallel_jobs_bit_identical():
-    t = boundary_4_simplex()
-    lone = tv(t, 5, 1, jobs=1)
-    multi = tv(t, 5, 1, jobs=2)
+def test_parallel_jobs_bit_identical(pool_calls):
+    lone = tv(boundary_4_simplex(), 5, 1, jobs=1)
+    # A fresh triangulation, so the grand-sum cache of the first call
+    # cannot answer the second one.
+    multi = tv(boundary_4_simplex(), 5, 1, jobs=2)
+    assert len(pool_calls) == 1
     assert multi.raw == lone.raw
     assert multi.value == lone.value
     assert multi.coloring_count == lone.coloring_count
@@ -348,6 +353,65 @@ def test_schedule_is_greedy_with_known_peak_width(name, peak_width):
     sched = _Schedule(t)
     assert sched.order == greedy_edge_order(t)
     assert max(len(a) for a in sched.active_after) == peak_width
+    # Vector keys: one bit slot per frontier edge, never shared by two
+    # edges active at once, and no more slots than the peak width.
+    assert sched.slot_count == peak_width
+    for active in sched.active_after:
+        assert len({sched.slot[e] for e in active}) == len(active)
+
+
+def test_key_packing_limit_raises_before_tables(monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("weight tables built for an unpackable frontier")
+
+    monkeypatch.setattr(statesum, "_vector_tables", no_tables)
+    t = load_asset("s2xs1")
+    # 18 slots: 8 colors (r=9) take 3 bits each, 54 in all; 9 colors
+    # (r=10) take 4 bits, 72 in all.
+    assert _key_bits(_Schedule(t), 8) == 3
+    with pytest.raises(ValueError, match="too wide to pack"):
+        tv(t, 10, 1, method="float")
+    # The refined sum packs color indices: 5 even colors at r=11 fit.
+    assert _key_bits(_Schedule(t), 5) == 3
+
+
+def test_float_count_overflow_raises():
+    # Five disjoint spheres have 16064^5 ~ 1.1e21 colorings at r=7, past
+    # int64: the sweep must stop instead of wrapping the count.
+    t = boundary_4_simplex()
+    five = t
+    for _ in range(4):
+        five = disjoint_union(five, t)
+    with pytest.raises(ArithmeticError, match="int64"):
+        tv(five, 7, 1, method="float")
+
+
+def test_over_budget_sweep_pins_and_batches(monkeypatch):
+    t = load_asset("s2xs1")
+    reps = (1, 2, 3, 4)
+    direct = {s: tv(t, 5, s, method="float") for s in reps}
+
+    sweeps = []
+    real_sweep = statesum._run_frontier_vector
+
+    def counting_sweep(sched, r, even_only, s_values, tables, pins=None, **kwargs):
+        sweeps.append((len(s_values), len(pins or {})))
+        return real_sweep(sched, r, even_only, s_values, tables, pins=pins, **kwargs)
+
+    monkeypatch.setattr(statesum, "_run_frontier_vector", counting_sweep)
+    monkeypatch.setattr(statesum, "_FLOAT_CACHE", WeakKeyDictionary())
+    # The r=5 peak (206592 states) passes the all-column row limit of a
+    # 5 MB budget, and a branch fits only with one pinned edge and one
+    # column per sweep.
+    monkeypatch.setattr(statesum, "_MEMORY_BUDGET", 5_000_000)
+    pinned = {s: tv(t, 5, s, method="float") for s in reps}
+    assert sweeps[:2] == [(4, 0), (0, 0)]
+    value_sweeps = [sw for sw in sweeps if sw[0]]
+    assert len(value_sweeps) > 2
+    assert all(pins for _, pins in value_sweeps[1:])
+    for s in reps:
+        assert abs(pinned[s].raw - direct[s].raw) <= 1e-12 * abs(direct[s].raw)
+        assert pinned[s].coloring_count == direct[s].coloring_count
 
 
 def test_repeated_calls_are_consistent():
