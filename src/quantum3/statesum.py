@@ -146,6 +146,7 @@ class _Schedule:
                 last_use[e] = max(last_use[e], tet_pos[t_id])
 
         self.order = order
+        self.last_use = last_use
         self.face_checks = [[] for _ in range(n)]
         for f_id, f in enumerate(t.face_edges):
             self.face_checks[face_pos[f_id]].append(f)
@@ -304,16 +305,8 @@ def _coprime_representatives(r: int, even_only: bool) -> tuple[int, ...]:
     )
 
 
-# Live states the vector engine may hold after a merge; past it the sum
-# raises MemoryError instead of exhausting the machine.
-_STATE_CAP = 60_000_000
-# Bytes a vector sweep may plan for; its row limit, and the pinning and
-# column batching of sums that do not fit, are sized against it.
+# Bytes a vector sweep may plan for; its row limit is sized against it.
 _MEMORY_BUDGET = 650_000_000
-
-
-class _RowLimit(MemoryError):
-    """A vector sweep held more live states than its row limit allows."""
 
 
 def _key_bits(sched: _Schedule, n_colors: int) -> int:
@@ -436,27 +429,31 @@ def _run_frontier_vector(
     even_only: bool,
     s_values: tuple[int, ...],
     tables,
-    pins: dict[int, int] | None = None,
+    row_limit: int,
     peak_out: list | None = None,
-    row_limit: int = _STATE_CAP,
 ) -> tuple[dict[int, complex], int]:
     """Float-path frontier sum vectorized over states.  Returns the grand
     sum per requested s and the coloring count.
 
     A state row is an int64 key, an int64 coloring count and one complex
-    column per s (none for a count-only probe); weights are read from
-    tables (see _vector_tables).  The key holds the color index of every
-    frontier edge in that edge's bit slot (_Schedule.slot), so a digit is
-    a shift and a mask and a child key is (parent & kept slots) | (x <<
-    slot of the new edge).  Parents stream through in slices, each color
-    of a slice becomes one sorted run, and the step ends with one merge
-    (_SortedAccumulator.flush).  pins fixes chosen edge colors,
-    restricting the sweep to that slice of the coloring set; summing over
-    all pin colors recovers the full sum while dividing the live state
-    count.  peak_out, when given, receives the live states after every
-    step.  Raises _RowLimit (a MemoryError) as soon as a step leaves more
-    than row_limit live states, and ArithmeticError before a step whose
-    counts could pass int64."""
+    column per s; weights are read from tables (see _vector_tables).  The
+    key holds the color index of every frontier edge in that edge's bit
+    slot (_Schedule.slot), so a digit is a shift and a mask and a child
+    key is (parent & kept slots) | (x << slot of the new edge).  Parents
+    stream through in slices, each color of a slice becomes one sorted
+    run, and the step ends with one merge (_SortedAccumulator.flush).
+
+    A merged frontier of more than row_limit rows is split by the key
+    digit of one frontier edge, and each part is carried on from the next
+    step, depth-first; the grand sums and counts of the parts add up to
+    those of the whole.  The split edge is the frontier edge that retires
+    last, ties going to the earliest assigned, among those whose digit is
+    not the same in every row: the parts then stay disjoint for as long
+    as possible.  Keys are unique, so a frontier of two or more rows has
+    such an edge, and a part still over the limit is split again on
+    another.  peak_out, when given, receives the live states after every
+    step of every part, in the order they run.  Raises ArithmeticError
+    before a step whose counts could pass int64."""
     import numpy as np
 
     colors = color_range(r, even_only)
@@ -465,108 +462,138 @@ def _run_frontier_vector(
     digit_mask = (1 << bits) - 1
     shift = {e: bits * q for e, q in sched.slot.items()}
     slice_rows = 2_000_000
-    pins = pins or {}
     ns = len(s_values)
     edge_tab, face_adm, face_tab, tet_tab = tables
     adm_flat = face_adm.ravel()
     face_flat = face_tab.reshape(nc**3, ns)
     tet_flat = tet_tab.reshape(nc**6, ns)
 
-    keys = np.zeros(1, dtype=np.int64)
-    vals = np.ones((1, ns), dtype=np.complex128)
-    cnts = np.ones(1, dtype=np.int64)
-    for p, e in enumerate(sched.order):
-        before = sched.active_after[p - 1] if p else ()
-        after = sched.active_after[p]
-        xs = (colors.index(pins[e]),) if e in pins else range(len(colors))
-        # A child count sums parent counts, at most one per (parent,
-        # color) pair, so no child can exceed the parents' total count
-        # times the number of colors.
-        total = int(cnts.sum())
-        if total * len(xs) >= 2**63:
-            raise ArithmeticError(
-                f"coloring count may pass int64 at step {p} "
-                f"({total} partial colorings times {len(xs)} colors)"
-            )
-        keep = np.int64(sum(digit_mask << shift[x] for x in before if x in after))
-        new_shift = shift[e] if e in after else None
-        face_checks = sched.face_checks[p]
-        tet_checks = sched.tet_checks[p]
-        # The flat table index of a check is base + x * stride: base holds
-        # the digits of its older edges, stride places the new edge's.
-        face_strides = [nc ** (2 - f.index(e)) for f in face_checks]
-        tet_strides = [nc ** (5 - slots.index(e)) for slots in tet_checks]
-        acc = _SortedAccumulator(np, ns)
-        n_rows = len(keys)
-        for lo in range(0, n_rows, slice_rows):
-            sl = slice(lo, lo + slice_rows)
-            sk, sv, sc = keys[sl], vals[sl], cnts[sl]
-            if lo + slice_rows >= n_rows:
-                keys = vals = cnts = None
-            kept = sk & keep
-            digits: dict[int, object] = {}
-
-            def flat_base(check):
-                out = 0
-                for eid in check:
-                    if eid == e:
-                        out = out * nc
-                        continue
-                    if eid not in digits:
-                        digits[eid] = (sk >> shift[eid]) & digit_mask
-                    out = out * nc + digits[eid]
-                return out
-
-            face_base = [flat_base(f) for f in face_checks]
-            tet_base = [flat_base(slots) for slots in tet_checks]
-            del digits
-            for x in xs:
-                face_idx = [b + x * w for b, w in zip(face_base, face_strides)]
-                mask = None
-                for fi in face_idx:
-                    adm = adm_flat.take(fi)
-                    mask = adm if mask is None else mask & adm
-                sel = None
-                if mask is not None:
-                    sel = np.flatnonzero(mask)
-                    if not len(sel):
-                        continue
-                    if len(sel) == len(mask):
-                        sel = None
-
-                def pick(a):
-                    return a if sel is None else a.take(sel, axis=0)
-
-                # Factor order edge, faces, tets, parent value, as in the
-                # dict engine's products; one gathered factor at a time.
-                factors = chain(
-                    (face_flat.take(pick(fi), axis=0) for fi in face_idx),
-                    (
-                        tet_flat.take(pick(b) + x * w, axis=0)
-                        for b, w in zip(tet_base, tet_strides)
-                    ),
-                    (pick(sv),),
+    def sweep(p0: int, frontier: list):
+        """Grand-sum columns and coloring count of the rows in frontier,
+        [keys, vals, cnts] after step p0 - 1, carried to the last step.
+        frontier is emptied, so each array is freed once it is used."""
+        keys, vals, cnts = frontier
+        frontier.clear()
+        for p in range(p0, len(sched.order)):
+            e = sched.order[p]
+            before = sched.active_after[p - 1] if p else ()
+            after = sched.active_after[p]
+            # A child count sums parent counts, at most one per (parent,
+            # color) pair, so no child can exceed the parents' total count
+            # times the number of colors.
+            total = int(cnts.sum())
+            if total * nc >= 2**63:
+                raise ArithmeticError(
+                    f"coloring count may pass int64 at step {p} "
+                    f"({total} partial colorings times {nc} colors)"
                 )
-                new_vals = next(factors) * edge_tab[x]
-                for fac in factors:
-                    new_vals *= fac
-                    del fac
-                del factors, face_idx
-                child = pick(kept)
-                if new_shift is not None:
-                    child = child | np.int64(x << new_shift)
-                acc.add(child, new_vals, pick(sc))
-                del child, new_vals
-            del sk, sv, sc, kept, face_base, tet_base
-        keys, vals, cnts = acc.flush()
-        if peak_out is not None:
-            peak_out.append(len(keys))
-        if len(keys) > row_limit:
-            raise _RowLimit(f"frontier exceeded {row_limit} states ({len(keys)})")
-        if not len(keys):
-            return {s: 0j for s in s_values}, 0
-    grands = {s: complex(vals[0, c]) for c, s in enumerate(s_values)}
-    return grands, int(cnts[0])
+            keep = np.int64(sum(digit_mask << shift[x] for x in before if x in after))
+            new_shift = shift[e] if e in after else None
+            face_checks = sched.face_checks[p]
+            tet_checks = sched.tet_checks[p]
+            # The flat table index of a check is base + x * stride: base holds
+            # the digits of its older edges, stride places the new edge's.
+            face_strides = [nc ** (2 - f.index(e)) for f in face_checks]
+            tet_strides = [nc ** (5 - slots.index(e)) for slots in tet_checks]
+            acc = _SortedAccumulator(np, ns)
+            n_rows = len(keys)
+            for lo in range(0, n_rows, slice_rows):
+                sl = slice(lo, lo + slice_rows)
+                sk, sv, sc = keys[sl], vals[sl], cnts[sl]
+                if lo + slice_rows >= n_rows:
+                    keys = vals = cnts = None
+                kept = sk & keep
+                digits: dict[int, object] = {}
+
+                def flat_base(check):
+                    out = 0
+                    for eid in check:
+                        if eid == e:
+                            out = out * nc
+                            continue
+                        if eid not in digits:
+                            digits[eid] = (sk >> shift[eid]) & digit_mask
+                        out = out * nc + digits[eid]
+                    return out
+
+                face_base = [flat_base(f) for f in face_checks]
+                tet_base = [flat_base(slots) for slots in tet_checks]
+                del digits
+                for x in range(nc):
+                    face_idx = [b + x * w for b, w in zip(face_base, face_strides)]
+                    mask = None
+                    for fi in face_idx:
+                        adm = adm_flat.take(fi)
+                        mask = adm if mask is None else mask & adm
+                    sel = None
+                    if mask is not None:
+                        sel = np.flatnonzero(mask)
+                        if not len(sel):
+                            continue
+                        if len(sel) == len(mask):
+                            sel = None
+
+                    def pick(a):
+                        return a if sel is None else a.take(sel, axis=0)
+
+                    # Factor order edge, faces, tets, parent value, as in the
+                    # dict engine's products; one gathered factor at a time.
+                    factors = chain(
+                        (face_flat.take(pick(fi), axis=0) for fi in face_idx),
+                        (
+                            tet_flat.take(pick(b) + x * w, axis=0)
+                            for b, w in zip(tet_base, tet_strides)
+                        ),
+                        (pick(sv),),
+                    )
+                    new_vals = next(factors) * edge_tab[x]
+                    for fac in factors:
+                        new_vals *= fac
+                        del fac
+                    del factors, face_idx
+                    child = pick(kept)
+                    if new_shift is not None:
+                        child = child | np.int64(x << new_shift)
+                    acc.add(child, new_vals, pick(sc))
+                    del child, new_vals
+                del sk, sv, sc, kept, face_base, tet_base
+            keys, vals, cnts = acc.flush()
+            if peak_out is not None:
+                peak_out.append(len(keys))
+            if not len(keys):
+                return np.zeros(ns, dtype=np.complex128), 0
+            if len(keys) > max(row_limit, 1):
+                for edge in sorted(
+                    after, key=lambda a: (-sched.last_use[a], sched.order.index(a))
+                ):
+                    digit = (keys >> shift[edge]) & digit_mask
+                    if (digit != digit[0]).any():
+                        break
+                parts = []
+                for d in range(nc):
+                    rows = np.flatnonzero(digit == d)
+                    if len(rows):
+                        parts.append(
+                            [keys.take(rows), vals.take(rows, axis=0), cnts.take(rows)]
+                        )
+                del keys, vals, cnts, digit, rows
+                grand, count = np.zeros(ns, dtype=np.complex128), 0
+                while parts:
+                    part_grand, part_count = sweep(p + 1, parts.pop())
+                    grand += part_grand
+                    count += part_count
+                return grand, count
+        return vals[0], int(cnts[0])
+
+    grand, count = sweep(
+        0,
+        [
+            np.zeros(1, dtype=np.int64),
+            np.ones((1, ns), dtype=np.complex128),
+            np.ones(1, dtype=np.int64),
+        ],
+    )
+    return {s: complex(grand[c]) for c, s in enumerate(s_values)}, count
 
 
 _GRAND_CACHE: WeakKeyDictionary = WeakKeyDictionary()
@@ -577,94 +604,21 @@ def _vector_grand_sums(
     t: Triangulation, r: int, even_only: bool, reps: tuple[int, ...]
 ) -> tuple[dict[int, complex], int]:
     """Grand sums at every representative s via the vector engine, and
-    the coloring count.
-
-    The first sweep carries every column and stops as soon as its live
-    states pass the rows that _MEMORY_BUDGET allows; when it does not
-    stop, it is the answer.  Otherwise a count-only probe measures the
-    live state peak, the sum is conditioned on the colors of one or more
-    long-lived frontier edges until a branch fits (branch sums add up
-    exactly), and the s columns are batched to keep bytes per state row
-    bounded."""
+    the coloring count: one sweep carries every column, with the row
+    limit that _MEMORY_BUDGET allows; the engine splits any frontier
+    that passes it."""
     import numpy as np
-    from itertools import product as iproduct
 
-    safety = 2.6
     allowed = color_range(r, even_only)
     sched = _Schedule(t)
     _key_bits(sched, len(allowed))  # an unpackable frontier fails before the tables
     tables = _vector_tables(np, r, allowed, reps)
-    edge_tab, face_adm, face_tab, tet_tab = tables
-    ns = len(reps)
-
-    def sliced(lo: int, hi: int):
-        return (
-            np.ascontiguousarray(edge_tab[:, lo:hi]),
-            face_adm,
-            np.ascontiguousarray(face_tab[..., lo:hi]),
-            np.ascontiguousarray(tet_tab[..., lo:hi]),
-        )
-
-    def fit_rows(nb: int) -> int:
-        # a row: int64 key, int64 count, nb complex128 columns
-        return int(_MEMORY_BUDGET / ((16 + 16 * nb) * safety))
-
-    try:
-        return _run_frontier_vector(
-            sched, r, even_only, reps, tables, row_limit=fit_rows(ns)
-        )
-    except _RowLimit:
-        pass
-
-    probe_tables = sliced(0, 0)
-    pos = {e: i for i, e in enumerate(sched.order)}
-    peaks: list[int] = []
-    _, count = _run_frontier_vector(
-        sched, r, even_only, (), probe_tables, peak_out=peaks
-    )
-    branch_peak = max(peaks, default=0)
-    pin_edges: list[int] = []
-    while int(branch_peak * 1.3) > fit_rows(1):
-        if len(pin_edges) >= 4:
-            raise MemoryError(
-                f"state sum too wide even with {len(pin_edges)} pinned edges "
-                f"(branch peak {branch_peak} states)"
-            )
-        p_star = peaks.index(max(peaks))
-        candidates = [
-            e for e in sched.active_after[p_star] if e not in pin_edges
-        ]
-        if not candidates:
-            raise MemoryError("no conditioning edge available at the peak step")
-        pin_edges.append(min(candidates, key=pos.__getitem__))
-        peaks = []
-        _run_frontier_vector(
-            sched, r, even_only, (), probe_tables,
-            pins={e: allowed[0] for e in pin_edges}, peak_out=peaks,
-        )
-        branch_peak = max(peaks, default=0)
-    nb = next(
-        n for n in range(ns, 0, -1) if int(branch_peak * 1.3) <= fit_rows(n)
-    )
-    grands: dict[int, complex] = {}
-    for lo in range(0, ns, nb):
-        hi = min(lo + nb, ns)
-        sub_s = reps[lo:hi]
-        sub_tables = sliced(lo, hi)
-        if pin_edges:
-            total = {s: 0j for s in sub_s}
-            for combo in iproduct(allowed, repeat=len(pin_edges)):
-                g, _ = _run_frontier_vector(
-                    sched, r, even_only, sub_s, sub_tables,
-                    pins=dict(zip(pin_edges, combo)),
-                )
-                for s in sub_s:
-                    total[s] += g[s]
-            grands.update(total)
-        else:
-            g, _ = _run_frontier_vector(sched, r, even_only, sub_s, sub_tables)
-            grands.update(g)
-    return grands, count
+    # A row is an int64 key, an int64 count and one complex128 per s.
+    # The merge holds the runs, their concatenation and sorted copies at
+    # once; safety is the measured peak bytes per byte of merged rows.
+    safety = 2.6
+    row_limit = int(_MEMORY_BUDGET / ((16 + 16 * len(reps)) * safety))
+    return _run_frontier_vector(sched, r, even_only, reps, tables, row_limit)
 
 
 def _float_grand_sum(t: Triangulation, r: int, even_only: bool, s: int) -> tuple[complex, int]:
@@ -739,6 +693,10 @@ def _state_sum(
 ) -> StateSumResult:
     if r < 3:
         raise ValueError(f"level must satisfy r >= 3, got {r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs != 1 and method == "float":
+        raise ValueError("jobs applies to method 'exact' only")
     if math.gcd(s, r) != 1:
         raise ValueError(f"s={s} must be coprime to r={r}")
     if refined:

@@ -190,6 +190,15 @@ def test_engine_limits_exit_1(exc, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "extra", [("--jobs", "0"), ("--jobs", "-3"), ("--jobs", "2", "--method", "float")]
+)
+def test_bad_jobs_exit_1(extra, capsys):
+    code, out, err = run(capsys, "statesum", "s3_boundary4simplex", "--r", "5", *extra)
+    assert code == 1 and out == ""
+    assert err.startswith("error: jobs") and err.count("\n") == 1
+
+
 def test_flag_errors_exit_1(capsys):
     assert run(capsys, "statesum")[0] == 1
     assert run(capsys, "verify", "nosuite")[0] == 1

@@ -113,16 +113,6 @@ def test_s2xs1_asset_is_closed_manifold():
     assert t.is_closed_manifold()
 
 
-def test_asset_copies_identical():
-    import quantum3.complex3 as c3
-    from pathlib import Path
-
-    repo_assets = Path(__file__).resolve().parent.parent / "assets"
-    for name in ("s3_boundary4simplex.json", "s2xs1.json"):
-        packaged = (c3.asset_dir() / name).read_bytes()
-        assert (repo_assets / name).read_bytes() == packaged
-
-
 def test_asset_dir_override(monkeypatch, tmp_path):
     (tmp_path / "t.json").write_text(json.dumps({"tetrahedra": [list(t) for t in combinations(range(5), 4)]}))
     monkeypatch.setenv("QUANTUM3_ASSETS", str(tmp_path))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from weakref import WeakKeyDictionary
@@ -386,32 +387,55 @@ def test_float_count_overflow_raises():
         tv(five, 7, 1, method="float")
 
 
-def test_over_budget_sweep_pins_and_batches(monkeypatch):
+def test_over_budget_sweep_splits_frontier(monkeypatch):
     t = load_asset("s2xs1")
     reps = (1, 2, 3, 4)
     direct = {s: tv(t, 5, s, method="float") for s in reps}
 
-    sweeps = []
     real_sweep = statesum._run_frontier_vector
+    splits = {}
+    # The r=5 peak (206592 states) passes the row limit of either budget;
+    # at 0.5 MB the parts of a split pass it again and are split anew.
+    for budget in (5_000_000, 500_000):
+        sweeps = []
 
-    def counting_sweep(sched, r, even_only, s_values, tables, pins=None, **kwargs):
-        sweeps.append((len(s_values), len(pins or {})))
-        return real_sweep(sched, r, even_only, s_values, tables, pins=pins, **kwargs)
+        def recording_sweep(sched, r, even_only, s_values, tables, row_limit):
+            peaks = []
+            sweeps.append((row_limit, peaks))
+            return real_sweep(
+                sched, r, even_only, s_values, tables, row_limit, peak_out=peaks
+            )
 
-    monkeypatch.setattr(statesum, "_run_frontier_vector", counting_sweep)
+        monkeypatch.setattr(statesum, "_run_frontier_vector", recording_sweep)
+        monkeypatch.setattr(statesum, "_FLOAT_CACHE", WeakKeyDictionary())
+        monkeypatch.setattr(statesum, "_MEMORY_BUDGET", budget)
+        split = {s: tv(t, 5, s, method="float") for s in reps}
+        ((row_limit, peaks),) = sweeps
+        splits[budget] = sum(n > row_limit for n in peaks)
+        for s in reps:
+            assert abs(split[s].raw - direct[s].raw) <= 1e-12 * abs(direct[s].raw)
+            assert split[s].coloring_count == direct[s].coloring_count
+    assert 0 < splits[5_000_000] < splits[500_000]
+
+
+def test_float_path_without_numpy(monkeypatch):
+    # With numpy hidden, the float path falls back to the dict engine.
+    monkeypatch.setitem(sys.modules, "numpy", None)
     monkeypatch.setattr(statesum, "_FLOAT_CACHE", WeakKeyDictionary())
-    # The r=5 peak (206592 states) passes the all-column row limit of a
-    # 5 MB budget, and a branch fits only with one pinned edge and one
-    # column per sweep.
-    monkeypatch.setattr(statesum, "_MEMORY_BUDGET", 5_000_000)
-    pinned = {s: tv(t, 5, s, method="float") for s in reps}
-    assert sweeps[:2] == [(4, 0), (0, 0)]
-    value_sweeps = [sw for sw in sweeps if sw[0]]
-    assert len(value_sweeps) > 2
-    assert all(pins for _, pins in value_sweeps[1:])
-    for s in reps:
-        assert abs(pinned[s].raw - direct[s].raw) <= 1e-12 * abs(direct[s].raw)
-        assert pinned[s].coloring_count == direct[s].coloring_count
+    t = load_asset("s2xs1")
+    got = tv(t, 4, 1, method="float")
+    exact = tv(t, 4, 1, method="exact")
+    assert abs(got.value - 1) < 1e-12
+    assert abs(got.value - exact.value) < 1e-12
+    assert got.coloring_count == exact.coloring_count == 736256
+
+
+@pytest.mark.parametrize(
+    "jobs, method", [(0, "exact"), (-3, "exact"), (0, "float"), (2, "float")]
+)
+def test_bad_jobs_raise(jobs, method):
+    with pytest.raises(ValueError, match="jobs"):
+        tv(boundary_4_simplex(), 5, 1, method=method, jobs=jobs)
 
 
 def test_repeated_calls_are_consistent():

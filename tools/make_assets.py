@@ -196,10 +196,7 @@ def simplify(tri: Triangulation, seed: int = 20260815, patience: int = 400) -> T
 
 def main() -> None:
     root = Path(__file__).resolve().parent.parent
-    if len(sys.argv) > 1:
-        out_dirs = [Path(sys.argv[1])]
-    else:
-        out_dirs = [root / "assets", root / "src" / "quantum3" / "assets"]
+    out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else root / "src" / "quantum3" / "assets"
 
     s3 = Triangulation(list(combinations(range(5), 4)))
     assert s3.is_closed_manifold() and s3.euler_characteristic == 0
@@ -210,12 +207,11 @@ def main() -> None:
     tri = simplify(tri)
     print(f"final: {tri!r}")
 
-    for out_dir in out_dirs:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "s3_boundary4simplex.json").write_text(
-            json.dumps(s3.to_json_dict(), indent=1) + "\n"
-        )
-        (out_dir / "s2xs1.json").write_text(json.dumps(tri.to_json_dict(), indent=1) + "\n")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "s3_boundary4simplex.json").write_text(
+        json.dumps(s3.to_json_dict(), indent=1) + "\n"
+    )
+    (out_dir / "s2xs1.json").write_text(json.dumps(tri.to_json_dict(), indent=1) + "\n")
 
 
 if __name__ == "__main__":
