@@ -179,8 +179,21 @@ def _suite_splitting(args: argparse.Namespace) -> list[Check]:
 
 
 def _suite_hansen_vs_statesum(args: argparse.Namespace) -> list[Check]:
-    """Squared ratio route against the unit-certificate closed form at s=1."""
+    """Squared ratio route at s=1 against the float state sum on the two
+    Seifert spaces with a shipped triangulation, (0;) = S^2 x S^1 and
+    (0; 1/1) = S^3, and against the unit-certificate closed form."""
     checks = []
+    for text, name, levels in (
+        ("0;", "s2xs1", range(3, 6)),
+        ("0; 1/1", "s3_boundary4simplex", range(3, 8)),
+    ):
+        sym = SeifertSymbol.parse(text)
+        t = load_asset(name)
+        for r in levels:
+            ratio_sq = tv_seifert(sym, r)
+            state = tv(t, r, 1, method="float").value
+            label = f"({sym}) at r={r}: ratio {ratio_sq:.12g} vs state sum on {name} {state:.12g}"
+            checks.append((_close(ratio_sq, state, args.tol), label))
     for a in (5, 7):
         for g in (0, 1):
             for n in (2, 4):

@@ -10,9 +10,11 @@ the invariant of S^2 x S^1, so its squared modulus equals TV_{r,1}.
 The empty symbol (0;) denotes S^2 x S^1 and (0;(1,1)) denotes S^3; both
 conventions are pinned by anchor tests against the state sum.
 
-All phase exponents are accumulated as exact rational multiples of pi
-and reduced mod 2 before exponentiation, since the raw exponents grow
-like r * a^2 and would otherwise lose precision.
+Every phase exponent is an exact rational multiple of pi, reduced
+mod 2 before exponentiation, since the raw exponents grow like r * a^2
+and would otherwise lose precision.  The fiber sums keep it as an integer
+numerator N over a r, reduced mod 2ar and read from a table of roots of
+unity; the per-gamma Euler phase and the U_r phase stay Fractions.
 """
 
 from __future__ import annotations
@@ -134,65 +136,44 @@ def _inverse_mod(b: int, a: int) -> int:
     return 0 if a == 1 else pow(b % a, -1, a)
 
 
+def _fiber_sum(roots: list[complex], a: int, c: int, r: int, gamma: int) -> complex:
+    """Sum over mu = +-1 and m mod a of mu e^{i pi N/(a r)}, where
+    N = -(2rm+mu) gamma - 2r(rm^2+mu m) c and roots[k] = e^{i pi k/(a r)}."""
+    fiber = 0j
+    for mu in (1, -1):
+        for m in range(a):
+            n = -(2 * r * m + mu) * gamma - 2 * r * (r * m * m + mu * m) * c
+            fiber += mu * roots[n % len(roots)]
+    return fiber
+
+
 def _z_full(sym: SeifertSymbol, r: int, b_star: list[int]) -> complex:
     """Z_r as the full sum over (gamma, mu vector, m vector); the mu/m
     sums are grouped per fiber, which is an exact regrouping of the
-    triple sum."""
+    triple sum.
+
+    Fiber j's phases have integer numerators N over a r (see _fiber_sum
+    with c = b*_j), reduced exactly mod 2ar.  The root table holds
+    e^{i pi k/(ar)} as exponentiating the reduced Fraction would give it:
+    int and Fraction true division both round correctly.  N mod 2ar
+    depends on b*_j only mod a, so each fiber sum is computed once per
+    (a, b*_j mod a) and gamma."""
     e_num = euler_number(sym)
     sin_exp = sym.n + 2 * sym.g - 2
+    keys = [(a, bs % a) for (a, _), bs in zip(sym.pairs, b_star)]
+    roots = {
+        a: [cmath.exp(1j * math.pi * (k / (a * r))) for k in range(2 * a * r)]
+        for a in {a for a, _ in keys}
+    }
     total = 0j
     for gamma in range(1, r):
         term = _phase(Fraction(gamma * gamma, 2 * r) * e_num)
         term *= math.sin(math.pi * gamma / r) ** (-sin_exp)
-        for j, (a, _) in enumerate(sym.pairs):
-            fiber = 0j
-            for mu in (1, -1):
-                for m in range(a):
-                    expo = Fraction(-(2 * r * m + mu) * gamma, a * r) + Fraction(
-                        -2 * (r * m * m + mu * m) * b_star[j], a
-                    )
-                    fiber += mu * _phase(expo)
-            term *= fiber
+        fibers = {(a, c): _fiber_sum(roots[a], a, c, r, gamma) for a, c in set(keys)}
+        for key in keys:
+            term *= fibers[key]
         total += term
     return total
-
-
-def _z_simplified(sym: SeifertSymbol, r: int) -> complex:
-    """Z_r for a uniform cone order a dividing r with zero Euler number:
-    the m sums collapse to a Kronecker delta on gamma + b*_j mu_j = 0
-    (mod a)."""
-    pairs = sym.pairs
-    if not pairs:
-        raise ValueError("simplified sum needs at least one pair")
-    a = pairs[0][0]
-    if any(aj != a for aj, _ in pairs):
-        raise ValueError("simplified sum needs a uniform cone order")
-    if r % a:
-        raise ValueError(f"level {r} must be divisible by {a}")
-    if euler_number(sym) != 0:
-        raise ValueError("simplified sum needs zero Euler number")
-    b_star = [_inverse_mod(b, a) for _, b in pairs]
-    n, g = sym.n, sym.g
-    sin_exp = n + 2 * g - 2
-    total = 0j
-    for gamma in range(1, r):
-        for mu_vec in _pm_vectors(n):
-            if any((gamma + bs * mu) % a for bs, mu in zip(b_star, mu_vec)):
-                continue
-            term = _phase(Fraction(-gamma * sum(mu_vec), a * r))
-            term *= math.prod(mu_vec) * a ** n
-            term *= math.sin(math.pi * gamma / r) ** (-sin_exp)
-            total += term
-    return total
-
-
-def _pm_vectors(n: int):
-    if n == 0:
-        yield ()
-        return
-    for rest in _pm_vectors(n - 1):
-        yield (1,) + rest
-        yield (-1,) + rest
 
 
 def hansen_ratio(sym: SeifertSymbol, r: int, b_star: list[int] | None = None) -> complex:

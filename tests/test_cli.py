@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -141,7 +142,9 @@ def test_dedekind_json(capsys):
 
 
 def test_verify_suites_pass(capsys):
-    for suite in ("vanishing", "sign-change", "dedekind", "hempel-examples"):
+    for suite in (
+        "hansen-vs-statesum", "vanishing", "sign-change", "dedekind", "hempel-examples",
+    ):
         code, out, _ = run(capsys, "verify", suite)
         assert code == 0, f"{suite} failed:\n{out}"
         assert "FAIL" not in out
@@ -206,9 +209,14 @@ def test_flag_errors_exit_1(capsys):
 
 
 def test_module_entry_point():
+    # The child imports the quantum3 this process imported, which pytest's
+    # pythonpath setting may have put on sys.path without setting PYTHONPATH.
+    package_root = str(Path(statesum.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "quantum3.cli", "dedekind", "3", "8"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["sum"] == "1/16"

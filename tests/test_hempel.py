@@ -115,6 +115,22 @@ def test_report_indistinguishable_pair():
     assert not any(row.refined for row in rep.rows if row.r == 10)
 
 
+def test_paper_pairs_to_r_max_100():
+    s7 = sym("0; 7/1, 7/1, 7/-1, 7/-1")
+    for k in (2, 3):
+        assert report(s7, k, 100).verdict == "distinguishable(7,1)"
+    rep = report(sym("0; 5/1, 5/1, 5/-2"), 2, 100)
+    assert rep.verdict == "indistinguishable_up_to(100)"
+    assert {row.r for row in rep.rows} == set(range(3, 101))
+    for row in rep.rows:
+        if row.r % 5 == 0:
+            assert row.status == "vanishing", f"r={row.r}"
+            assert row.value_a == 0.0 and row.value_b == 0.0, f"r={row.r}"
+        else:
+            assert row.status == "ratio" and row.equal is True, f"r={row.r}"
+            assert row.int_a is not None and row.int_b is not None, f"r={row.r}"
+
+
 def test_report_trivial_pair():
     rep = report(sym("0; 5/1, 5/1, 5/-2"), 1, 8)
     assert rep.verdict == "trivial"

@@ -1,5 +1,6 @@
 """Seifert symbols, Dedekind sums, the surgery-formula ratio, and closed forms."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,6 @@ from quantum3.seifert import (
     UnitCertificate,
     Vanishing,
     _z_full,
-    _z_simplified,
     check_unit_criterion,
     dedekind_sum,
     euler_number,
@@ -44,6 +44,69 @@ def cotangent_sum(b: int, a: int) -> float:
             yield 1.0 / (math.tan(math.pi * ll / a) * math.tan(math.pi * m / a))
 
     return math.fsum(terms()) / (4 * a)
+
+
+def fraction_phase(frac: Fraction) -> complex:
+    """e^{i pi frac} with the exact rational argument reduced mod 2."""
+    return cmath.exp(1j * math.pi * float(frac % 2))
+
+
+def fraction_z_full(symbol: SeifertSymbol, r: int, b_star: list[int]) -> complex:
+    """Oracle for _z_full: every phase exponent of the fiber sums is an
+    exact Fraction, reduced mod 2 before exponentiation; terms are summed
+    and multiplied in the same order, so the result is bit-identical."""
+    e_num = euler_number(symbol)
+    sin_exp = symbol.n + 2 * symbol.g - 2
+    total = 0j
+    for gamma in range(1, r):
+        term = fraction_phase(Fraction(gamma * gamma, 2 * r) * e_num)
+        term *= math.sin(math.pi * gamma / r) ** (-sin_exp)
+        for j, (a, _) in enumerate(symbol.pairs):
+            fiber = 0j
+            for mu in (1, -1):
+                for m in range(a):
+                    expo = Fraction(-(2 * r * m + mu) * gamma, a * r) + Fraction(
+                        -2 * (r * m * m + mu * m) * b_star[j], a
+                    )
+                    fiber += mu * fraction_phase(expo)
+            term *= fiber
+        total += term
+    return total
+
+
+def pm_vectors(n: int):
+    if n == 0:
+        yield ()
+        return
+    for rest in pm_vectors(n - 1):
+        yield (1,) + rest
+        yield (-1,) + rest
+
+
+def z_simplified(symbol: SeifertSymbol, r: int) -> complex:
+    """Z_r for a uniform cone order a dividing r with zero Euler number:
+    the m sums collapse to a Kronecker delta on gamma + b*_j mu_j = 0
+    (mod a)."""
+    a = symbol.pairs[0][0]
+    assert all(aj == a for aj, _ in symbol.pairs) and r % a == 0
+    assert euler_number(symbol) == 0
+    b_star = [pow(b, -1, a) for _, b in symbol.pairs]
+    n, g = symbol.n, symbol.g
+    sin_exp = n + 2 * g - 2
+    total = 0j
+    for gamma in range(1, r):
+        for mu_vec in pm_vectors(n):
+            if any((gamma + bs * mu) % a for bs, mu in zip(b_star, mu_vec)):
+                continue
+            term = fraction_phase(Fraction(-gamma * sum(mu_vec), a * r))
+            term *= math.prod(mu_vec) * a ** n
+            term *= math.sin(math.pi * gamma / r) ** (-sin_exp)
+            total += term
+    return total
+
+
+def default_b_star(symbol: SeifertSymbol) -> list[int]:
+    return [pow(b, -1, a) for a, b in symbol.pairs]
 
 
 def test_symbol_validation_and_accessors():
@@ -328,10 +391,44 @@ def test_simplified_z_consistency():
         symbol = sym(text)
         a = symbol.pairs[0][0]
         for r in (a, 2 * a):
-            b_star = [pow(b % a2, -1, a2) if a2 > 1 else 0 for a2, b in symbol.pairs]
-            full = _z_full(symbol, r, b_star)
-            simple = _z_simplified(symbol, r)
+            full = _z_full(symbol, r, default_b_star(symbol))
+            simple = z_simplified(symbol, r)
             assert abs(full - simple) < 1e-9 * (1 + abs(full))
+
+
+def test_z_full_bit_identical_to_fraction_oracle():
+    # The integer-phase fiber sums reproduce the Fraction sums exactly,
+    # not within a tolerance: both paper pairs and their iterates, mixed
+    # cone orders, E != 0 ("1; 3/1, 5/2", "0; 4/1, 6/1"), S^3 and S^2 x S^1.
+    texts = [
+        "0; 7/1, 7/1, 7/-1, 7/-1",
+        "0; 7/4, 7/4, 7/-4, 7/-4",
+        "0; 7/5, 7/5, 7/-5, 7/-5",
+        "0; 5/1, 5/1, 5/-2",
+        "0; 5/3, 5/3, 5/-6",
+        "0; 5/2, 5/2, 5/-4",
+        "0; 7/1, 7/2, 7/-3",
+        "1; 3/1, 5/2",
+        "0; 2/1, 8/-1, 8/-3",
+        "2; 7/1, 7/-1",
+        "0; 4/1, 6/1",
+        "0; 1/1",
+        "0;",
+    ]
+    for text in texts:
+        symbol = sym(text)
+        b_star = default_b_star(symbol)
+        for r in range(3, 41):
+            assert _z_full(symbol, r, b_star) == fraction_z_full(symbol, r, b_star), (text, r)
+    # b* is read mod a; shifted and negative representatives give the same
+    # bits, and hansen_ratio accepts them as overrides.
+    symbol = sym("0; 5/2, 5/2, 5/-4, 1/1")
+    shifted = [3 + 5, 3 - 10, 1 + 15, -7]
+    for r in range(3, 41):
+        z = _z_full(symbol, r, shifted)
+        assert z == fraction_z_full(symbol, r, shifted), r
+        assert z == _z_full(symbol, r, default_b_star(symbol)), r
+        assert hansen_ratio(symbol, r, b_star=shifted) == hansen_ratio(symbol, r), r
 
 
 def test_move_invariance_of_ratio():
