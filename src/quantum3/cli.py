@@ -1,7 +1,7 @@
 """Command-line interface: compute invariants, verify identities, emit reports.
 
 Subcommands:
-  statesum FILE --r R [--s S] [--refined] [--method exact|float] [--jobs N]
+  statesum FILE --r R [--s S] [--refined] [--method exact|float]
       State-sum invariant of a triangulation, as one JSON object
       {"r", "s", "refined", "value", "colorings"}.
   seifert SYMBOL --r R [--s S] [--refined] [--mode closed_form|hansen]
@@ -76,7 +76,7 @@ def _resolve_triangulation(file: str) -> Triangulation:
 def _cmd_statesum(args: argparse.Namespace, out: TextIO) -> int:
     t = _resolve_triangulation(args.file)
     compute = tv_prime if args.refined else tv
-    result = compute(t, args.r, args.s, method=args.method, jobs=args.jobs)
+    result = compute(t, args.r, args.s, method=args.method)
     payload = {
         "r": result.r,
         "s": result.s,
@@ -361,11 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refined", action="store_true", help="even-color invariant")
     p.add_argument(
         "--method", choices=("exact", "float"), default="exact",
-        help="cyclotomic accumulation or the float engine",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for --method exact only (default 1)",
+        help="exact cyclotomic value (rebuilt from residues) or floating point",
     )
     p.set_defaults(handler=_cmd_statesum)
 

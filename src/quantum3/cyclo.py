@@ -9,6 +9,12 @@ M_r = Phi_r * Phi_2r, which is CRT-isomorphic to the pair of cyclotomic
 fields.  Every evaluation allowed by gcd(s, r) = 1 is then a genuine ring
 homomorphism to the complex numbers, and equalities certified here hold
 simultaneously at every admissible s.
+
+For a prime p = 1 (mod 2r), M_r splits over F_p into deg M_r distinct
+linear factors, so an element is also determined by its residues at
+those roots.  _residues maps an element there; _ResidueImage maps the
+residues back by a Vandermonde solve, CRT over several primes and
+rational reconstruction, to the same canonical form.
 """
 
 from __future__ import annotations
@@ -376,6 +382,210 @@ def quantum_factorial(n: int, r: int) -> CycloNum:
 @lru_cache(maxsize=None)
 def _inv_quantum_factorial(n: int, r: int) -> CycloNum:
     return quantum_factorial(n, r).inverse()
+
+
+# Residue primes stay below 2^31, so the product of two residues fits int64.
+_RESIDUE_PRIME_LIMIT = 1 << 31
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 3,215,031,751 (bases 2, 3, 5, 7)."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, k = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        k += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(k - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _residue_primes(r: int):
+    """Primes p = 1 (mod 2r) below 2^31, largest first, each with a
+    primitive 2r-th root of unity omega mod p, as pairs (p, omega).
+
+    M_r splits into distinct linear factors mod such a p, with roots
+    omega^s for s in _root_exponents(r)."""
+    n = 2 * r
+    factors = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
+    p = _RESIDUE_PRIME_LIMIT - 1 - (_RESIDUE_PRIME_LIMIT - 2) % n
+    while p > n:
+        if _is_prime(p):
+            for g in range(2, p):
+                omega = pow(g, (p - 1) // n, p)
+                if all(pow(omega, n // q, p) != 1 for q in factors):
+                    yield p, omega
+                    break
+        p -= n
+
+
+@lru_cache(maxsize=None)
+def _root_exponents(r: int) -> tuple[int, ...]:
+    """The exponents s, 1 <= s < 2r with gcd(s, r) = 1: zeta -> omega^s are
+    the deg M_r roots of the ring (order 2r for odd s, order r for even s)."""
+    return tuple(s for s in range(1, 2 * r) if math.gcd(s, r) == 1)
+
+
+@lru_cache(maxsize=None)
+def _root_powers(r: int, p: int, omega: int) -> tuple[tuple[int, ...], ...]:
+    """Vandermonde matrix mod p: row k holds (omega^s_k)^j for j < deg M_r,
+    s_k the k-th of _root_exponents(r)."""
+    deg = len(_ring_modulus(r)) - 1
+    rows = []
+    for s in _root_exponents(r):
+        root = pow(omega, s, p)
+        row = [1]
+        for _ in range(deg - 1):
+            row.append(row[-1] * root % p)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _interpolation_matrix(r: int, p: int, omega: int) -> tuple[tuple[int, ...], ...]:
+    """Inverse mod p of _root_powers(r, p, omega), by Gauss-Jordan: it maps
+    the residues at the roots to the coefficients mod p."""
+    vander = _root_powers(r, p, omega)
+    deg = len(vander)
+    aug = [list(row) + [int(i == k) for i in range(deg)] for k, row in enumerate(vander)]
+    for col in range(deg):
+        pivot = next(k for k in range(col, deg) if aug[k][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = pow(aug[col][col], -1, p)
+        aug[col] = [a * inv % p for a in aug[col]]
+        for k in range(deg):
+            if k != col and aug[k][col]:
+                f = aug[k][col]
+                aug[k] = [(a - f * b) % p for a, b in zip(aug[k], aug[col])]
+    return tuple(tuple(row[deg:]) for row in aug)
+
+
+def _residues(x: CycloNum, p: int, omega: int) -> list[int]:
+    """The images of x in F_p under zeta -> omega^s, for every s of
+    _root_exponents(x.r) in order; raises ArithmeticError when p divides
+    the denominator of x."""
+    if x._den % p == 0:
+        raise ArithmeticError(f"denominator of {x!r} vanishes mod {p}")
+    inv = pow(x._den, -1, p)
+    return [
+        sum(c * w for c, w in zip(x._num, row)) * inv % p
+        for row in _root_powers(x._r, p, omega)
+    ]
+
+
+def _rational_reconstruct(u: int, m: int) -> Fraction | None:
+    """The fraction a/b = u (mod m) with |a| and b at most sqrt(m/2) and b
+    prime to m, found by the half extended Euclidean algorithm; None when
+    no such fraction exists (von zur Gathen and Gerhard, Modern Computer
+    Algebra, section 5.10)."""
+    bound = math.isqrt(m // 2)
+    r0, r1 = m, u % m
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1 or math.gcd(t1, m) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _height_bits(r: int, groups, terms: int) -> float:
+    """log2 of a bound on |a| and b for every coefficient a/b of a sum of
+    at most terms products, each product taking n factors from weights
+    for every pair (weights, n) in groups.
+
+    The common denominator divides the product over groups of the lcm of
+    their denominators to the n; call it L.  L times the sum has integer
+    coefficients, its value at any complex root of M_r is at most L times
+    terms times the product over groups of the largest coefficient
+    1-norm over denominator to the n, and the inverse of the Vandermonde
+    matrix of the roots, of row-sum norm at most the sum over roots x_k
+    of the product over j != k of 2 / |x_k - x_j|, maps those values to
+    the coefficients.  One bit is added for float rounding."""
+    den_bits = 0.0
+    value_bits = math.log2(terms)
+    for weights, n in groups:
+        lcm = 1
+        for w in weights:
+            lcm = lcm * w._den // math.gcd(lcm, w._den)
+        den_bits += n * math.log2(lcm)
+        value_bits += n * max(
+            math.log2(max(1, sum(map(abs, w._num)))) - math.log2(w._den) for w in weights
+        )
+    angles = [math.pi * s / r for s in _root_exponents(r)]
+    inverse_norm = sum(
+        math.prod(1 / abs(math.sin((a - b) / 2)) for b in angles if b != a) for a in angles
+    )
+    return max(den_bits, math.log2(inverse_norm) + den_bits + value_bits) + 1
+
+
+class _ResidueImage:
+    """One ring element at level r, known from its residues modulo a
+    growing set of primes from _residue_primes.
+
+    The coefficients are combined across primes by CRT.  The element is
+    certified when the rational reconstruction from the earlier primes
+    agrees with the newest prime on every coefficient.  height_bits
+    bounds log2 of every numerator and of the denominator (see
+    _height_bits): once the modulus reaches 2^(2 height_bits + 2) the
+    reconstruction is exact, so a disagreement after that means the
+    residues are wrong, and raises ArithmeticError."""
+
+    def __init__(self, r: int, height_bits: float) -> None:
+        self._r = r
+        self._limit_bits = 2 * height_bits + 2
+        self._modulus = 1
+        self._coeffs = [0] * (len(_ring_modulus(r)) - 1)
+
+    def add(self, p: int, omega: int, values: list[int]) -> CycloNum | None:
+        """Fold in the residues at omega^s mod p, s over _root_exponents(r)
+        in order.  Returns the certified element, or None while the
+        earlier primes do not yet determine it."""
+        coeffs = [
+            sum(a * v for a, v in zip(row, values)) % p
+            for row in _interpolation_matrix(self._r, p, omega)
+        ]
+        candidate = self._reconstruct() if self._modulus > 1 else None
+        if candidate is not None and all(
+            f.denominator % p != 0 and (f.numerator - f.denominator * c) % p == 0
+            for f, c in zip(candidate, coeffs)
+        ):
+            common = 1
+            for f in candidate:
+                common = common * f.denominator // math.gcd(common, f.denominator)
+            num = [f.numerator * (common // f.denominator) for f in candidate]
+            return CycloNum._raw(self._r, num, common)
+        if self._modulus.bit_length() > self._limit_bits:
+            raise ArithmeticError(
+                f"residues mod {p} disagree with a reconstruction past its height bound"
+            )
+        m = self._modulus
+        m_inv = pow(m, -1, p)
+        self._coeffs = [u + m * ((c - u) * m_inv % p) for u, c in zip(self._coeffs, coeffs)]
+        self._modulus = m * p
+        return None
+
+    def _reconstruct(self) -> list[Fraction] | None:
+        out = []
+        for u in self._coeffs:
+            f = _rational_reconstruct(u, self._modulus)
+            if f is None:
+                return None
+            out.append(f)
+        return out
 
 
 def ev(x: CycloNum, s: int) -> complex:

@@ -9,6 +9,13 @@ import pytest
 
 from quantum3.cyclo import (
     CycloNum,
+    _height_bits,
+    _rational_reconstruct,
+    _residue_primes,
+    _residues,
+    _ResidueImage,
+    _ring_modulus,
+    _root_exponents,
     cyclotomic_poly,
     ev,
     is_near_integer,
@@ -215,3 +222,91 @@ def test_is_near_integer():
     assert is_near_integer(1 + 1e-3j, 1e-6) is None
     assert is_near_integer(-0.9999999999, 1e-6) == -1
     assert is_near_integer(0.0, 1e-12) == 0
+
+
+def _small_primes(limit: int) -> list[int]:
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\x00\x00"
+    for n in range(2, math.isqrt(limit) + 1):
+        if sieve[n]:
+            sieve[n * n :: n] = bytearray(len(sieve[n * n :: n]))
+    return [n for n in range(limit + 1) if sieve[n]]
+
+
+def _certify(x: CycloNum) -> tuple[CycloNum, int]:
+    """The element rebuilt from its residues, and how many primes it took."""
+    image = _ResidueImage(x.r, _height_bits(x.r, [([x], 1)], 1))
+    for used, (p, omega) in enumerate(_residue_primes(x.r), start=1):
+        got = image.add(p, omega, _residues(x, p, omega))
+        if got is not None:
+            return got, used
+    raise AssertionError("primes ran out")
+
+
+def test_residue_primes_and_roots():
+    # Trial division by every prime up to sqrt(2^31) is the independent check.
+    divisors = _small_primes(math.isqrt(1 << 31) + 1)
+    for r in range(3, 41):
+        assert len(_root_exponents(r)) == len(_ring_modulus(r)) - 1
+        seen = []
+        for p, omega in _residue_primes(r):
+            assert p < 1 << 31 and p % (2 * r) == 1
+            assert all(p % q for q in divisors)
+            order = next(k for k in range(1, 2 * r + 1) if pow(omega, k, p) == 1)
+            assert order == 2 * r
+            seen.append(p)
+            if len(seen) == 3:
+                break
+        assert seen == sorted(seen, reverse=True)
+
+
+def test_residue_round_trip():
+    rng = random.Random(20261018)
+    for r in range(3, 13):
+        # Denominators that divide a power of 2r, as those of the weights do.
+        dens = (1, 2, r, 2 * r, (2 * r) ** 5)
+        for _ in range(6):
+            coeffs = [
+                Fraction(rng.randint(-(10**9), 10**9), rng.choice(dens))
+                for _ in range(2 * r)
+            ]
+            x = CycloNum(r, coeffs)
+            got, _ = _certify(x)
+            assert got == x and hash(got) == hash(x)
+            assert got.evaluate(1) == x.evaluate(1)
+        assert _certify(CycloNum.zero(r))[0] == CycloNum.zero(r)
+
+
+def test_rational_reconstruction_bound():
+    # sqrt(101/2) rounds down to 7: numerators and denominators up to 7
+    # come back, anything past that bound is rejected.
+    assert _rational_reconstruct(7, 101) == 7
+    assert _rational_reconstruct(101 - 7, 101) == -7
+    assert _rational_reconstruct(51, 101) == Fraction(1, 2)
+    assert _rational_reconstruct(10, 101) is None
+    # Modulo 2^31 - 1 the bound is 2^15 - 1; -2^15 = -1/2^16 is past it.
+    p = 2147483647
+    assert _rational_reconstruct(32767, p) == 32767
+    assert _rational_reconstruct(-32767 % p, p) == -32767
+    assert _rational_reconstruct(-32768 % p, p) is None
+
+
+def test_wide_coefficients_take_several_primes():
+    rng = random.Random(40)
+    x = CycloNum(7, [rng.randint(-(1 << 40), 1 << 40) for _ in range(14)])
+    got, used = _certify(x)
+    assert got == x
+    # One prime cannot hold 40-bit coefficients, two cannot reconstruct
+    # them, and the certificate needs one prime past those that do.
+    assert used > 2
+
+
+
+def test_disagreeing_residues_raise_past_height_bound():
+    # Residues that belong to no element of height 2^10 must fail once the
+    # primes so far already determine every such element.
+    rng = random.Random(5)
+    image = _ResidueImage(5, 10.0)
+    with pytest.raises(ArithmeticError, match="height bound"):
+        for p, omega in _residue_primes(5):
+            image.add(p, omega, [rng.randrange(p) for _ in _root_exponents(5)])

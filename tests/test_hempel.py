@@ -1,7 +1,11 @@
 """Periodic classes, iterates, and pair-distinguishability reports."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -176,3 +180,24 @@ def test_csv_serialization():
             assert value_cell == ""
         else:
             assert value_cell == "%.12g" % row.value_a
+
+
+def test_report_does_not_load_numpy():
+    # numpy is imported lazily by the state-sum engine only; a Hempel
+    # report never pays for it.
+    import quantum3
+
+    package_root = str(Path(quantum3.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, quantum3\n"
+        "rep = quantum3.report(quantum3.SeifertSymbol.parse('0; 5/1, 5/1, 5/-2'), 2, 12)\n"
+        "print(len(rep.rows), 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows, loaded = proc.stdout.split()
+    assert int(rows) > 0 and loaded == "False"

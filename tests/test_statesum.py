@@ -2,7 +2,6 @@
 
 import math
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations
 from weakref import WeakKeyDictionary
@@ -13,6 +12,8 @@ from quantum3 import statesum
 from quantum3.complex3 import (
     Coloring,
     Triangulation,
+    admissible_triple,
+    color_range,
     disjoint_union,
     enumerate_admissible,
     greedy_edge_order,
@@ -21,10 +22,14 @@ from quantum3.complex3 import (
     normal_surface_euler_parity,
     split_coloring,
 )
-from quantum3.cyclo import CycloNum
+from quantum3.cyclo import CycloNum, _residue_primes
 from quantum3.statesum import (
     StateSumResult,
+    _edge_weight,
+    _exact_grand_sum,
+    _face_weight,
     _key_bits,
+    _prefactor,
     _Schedule,
     _tet_weight,
     coloring_weight,
@@ -38,6 +43,84 @@ from quantum3.statesum import (
 
 def boundary_4_simplex() -> Triangulation:
     return Triangulation(list(combinations(range(5), 4)))
+
+
+def dict_frontier_sum(sched: _Schedule, r: int, even_only: bool) -> tuple[CycloNum, int]:
+    """Exact oracle for the grand sum: the frontier dynamic program over a
+    dict of tuple keys, multiplying CycloNum weights once per state and
+    color.  Returns (grand sum, coloring count)."""
+    allowed = color_range(r, even_only)
+    states: dict[tuple[int, ...], list] = {(): [1, CycloNum.one(r)]}
+    for p, e in enumerate(sched.order):
+        before_index = sched.before_index[p]
+        face_checks = sched.face_checks[p]
+        tet_checks = sched.tet_checks[p]
+        relevant = sched.relevant_idx[p]
+        rebuild = sched.rebuild_idx[p]
+
+        def raw_multiplier(x: int, key: tuple[int, ...]):
+            def col(eid: int) -> int:
+                return x if eid == e else key[before_index[eid]]
+
+            out = _edge_weight(x, r)
+            for f in face_checks:
+                tri = (col(f[0]), col(f[1]), col(f[2]))
+                if not admissible_triple(*tri, r):
+                    return None
+                out = out * _face_weight(*tri, r)
+            for slots in tet_checks:
+                out = out * _tet_weight(*(col(eid) for eid in slots), r)
+            return out
+
+        next_states: dict[tuple[int, ...], list] = {}
+        memo: dict[tuple[int, ...], object] = {}
+        if -1 not in rebuild:
+            # e is never needed again: sum its colors out at once.  The
+            # count multiplier is the number of admissible colors, kept
+            # even when the weight sum cancels to zero.
+            for key, (cnt, val) in states.items():
+                mk = tuple(key[q] for q in relevant if q != -1)
+                if mk not in memo:
+                    n_adm = 0
+                    tot = None
+                    for x in allowed:
+                        raw = raw_multiplier(x, key)
+                        if raw is None:
+                            continue
+                        n_adm += 1
+                        tot = raw if tot is None else tot + raw
+                    memo[mk] = None if n_adm == 0 else (n_adm, tot)
+                agg = memo[mk]
+                if agg is None:
+                    continue
+                new_key = tuple(key[q] for q in rebuild)
+                slot = next_states.get(new_key)
+                if slot is None:
+                    next_states[new_key] = [cnt * agg[0], val * agg[1]]
+                else:
+                    slot[0] += cnt * agg[0]
+                    slot[1] = slot[1] + val * agg[1]
+        else:
+            for key, (cnt, val) in states.items():
+                for x in allowed:
+                    mk = (x,) + tuple(x if q == -1 else key[q] for q in relevant)
+                    if mk not in memo:
+                        memo[mk] = raw_multiplier(x, key)
+                    mult = memo[mk]
+                    if mult is None:
+                        continue
+                    new_key = tuple(x if q == -1 else key[q] for q in rebuild)
+                    slot = next_states.get(new_key)
+                    if slot is None:
+                        next_states[new_key] = [cnt, val * mult]
+                    else:
+                        slot[0] += cnt
+                        slot[1] = slot[1] + val * mult
+        states = next_states
+        if not states:
+            return CycloNum.zero(r), 0
+    ((total_cnt, total_val),) = states.values()
+    return total_val, total_cnt
 
 
 def qint(n: int, r: int, s: int = 1) -> float:
@@ -324,26 +407,94 @@ def test_splitting_of_invariants_on_sphere():
 
 
 def test_float_method_matches_exact():
+    # Measured against exact: at most 1.7e-14 relative on the sphere and
+    # 2.3e-14 on s2xs1 at r=5.
     t = boundary_4_simplex()
-    for r in (3, 4, 5, 6, 7):
+    cases = [(t, r) for r in (3, 4, 5, 6, 7)] + [(load_asset("s2xs1"), 5)]
+    for tri, r in cases:
         for s in range(1, r):
             if math.gcd(s, r) != 1:
                 continue
-            a = tv(t, r, s, method="exact")
-            b = tv(t, r, s, method="float")
-            assert abs(a.value - b.value) < 1e-9 * (1 + abs(a.value))
+            a = tv(tri, r, s, method="exact")
+            b = tv(tri, r, s, method="float")
+            assert abs(a.raw - b.raw) <= 1e-12 * abs(a.raw)
             assert a.coloring_count == b.coloring_count
 
 
-def test_parallel_jobs_bit_identical(pool_calls):
-    lone = tv(boundary_4_simplex(), 5, 1, jobs=1)
-    # A fresh triangulation, so the grand-sum cache of the first call
-    # cannot answer the second one.
-    multi = tv(boundary_4_simplex(), 5, 1, jobs=2)
-    assert len(pool_calls) == 1
-    assert multi.raw == lone.raw
-    assert multi.value == lone.value
-    assert multi.coloring_count == lone.coloring_count
+def _grand_case(name: str) -> Triangulation:
+    if name == "two spheres":
+        return disjoint_union(boundary_4_simplex(), boundary_4_simplex())
+    return load_asset(name)
+
+
+@pytest.mark.parametrize(
+    "name, r, even_only",
+    [("s3_boundary4simplex", r, False) for r in (3, 4, 5, 6, 7)]
+    + [("s3_boundary4simplex", 5, True), ("s3_boundary4simplex", 7, True)]
+    + [("s2xs1", 3, False), ("s2xs1", 4, False)]
+    + [("two spheres", 3, False), ("two spheres", 4, False)],
+)
+def test_exact_grand_sum_matches_dict_oracle(name, r, even_only):
+    t = _grand_case(name)
+    grand, count = _exact_grand_sum(t, r, even_only)
+    want, want_count = dict_frontier_sum(_Schedule(t), r, even_only)
+    assert (grand._num, grand._den, count) == (want._num, want._den, want_count)
+
+
+def test_exact_grand_sum_survives_frontier_splits(monkeypatch):
+    t = load_asset("s2xs1")
+    want, want_count = dict_frontier_sum(_Schedule(t), 4, False)
+    real_sweep = statesum._run_frontier_vector
+    sweeps = []
+
+    def recording_sweep(*args, **kwargs):
+        peaks = []
+        sweeps.append((args[5], peaks))
+        return real_sweep(*args, peak_out=peaks, **kwargs)
+
+    monkeypatch.setattr(statesum, "_run_frontier_vector", recording_sweep)
+    monkeypatch.setattr(statesum, "_GRAND_CACHE", WeakKeyDictionary())
+    monkeypatch.setattr(statesum, "_MEMORY_BUDGET", 500_000)
+    grand, count = _exact_grand_sum(t, 4, False)
+    assert (grand._num, grand._den, count) == (want._num, want._den, want_count)
+    # Every prime's sweep split its frontier.
+    assert sweeps and all(any(n > limit for n in peaks) for limit, peaks in sweeps)
+
+
+def test_exact_s2xs1_at_r5_is_one():
+    t = load_asset("s2xs1")
+    grand, count = _exact_grand_sum(t, 5, False)
+    assert _prefactor(5, False) ** t.vertex_count * grand == CycloNum.one(5)
+    for s in (1, 2, 3, 4, 6, 7, 8, 9):
+        exact = tv(t, 5, s, method="exact")
+        assert exact.value == 1.0 and exact.raw == 1
+        assert exact.coloring_count == count == tv(t, 5, s, method="float").coloring_count
+
+
+def test_residue_tables_reject_asymmetric_weights(monkeypatch):
+    # The exact path carries one column per conjugate pair of roots, which
+    # is sound only for weights fixed by zeta -> 1/zeta; zeta is not.
+    import numpy as np
+
+    edges, *rest = statesum._weight_rows(np, 3, (0, 1))
+    bent = [CycloNum.zeta_pow(3, 1)] + edges[1:]
+    monkeypatch.setattr(statesum, "_weight_rows", lambda *args: (bent, *rest))
+    residue = next(_residue_primes(3))
+    with pytest.raises(ArithmeticError, match="not fixed"):
+        statesum._vector_tables(np, 3, (0, 1), (1, 2), residue)
+
+
+def test_exact_sum_shares_engine_limits():
+    # The exact path runs on the vector engine, so it meets the same
+    # int64 count and 62-bit key limits as the float path, loudly.
+    t = boundary_4_simplex()
+    five = t
+    for _ in range(4):
+        five = disjoint_union(five, t)
+    with pytest.raises(ArithmeticError, match="int64"):
+        tv(five, 7, 1, method="exact")
+    with pytest.raises(ValueError, match="too wide to pack"):
+        tv(load_asset("s2xs1"), 10, 1, method="exact")
 
 
 @pytest.mark.parametrize(
@@ -416,26 +567,6 @@ def test_over_budget_sweep_splits_frontier(monkeypatch):
             assert abs(split[s].raw - direct[s].raw) <= 1e-12 * abs(direct[s].raw)
             assert split[s].coloring_count == direct[s].coloring_count
     assert 0 < splits[5_000_000] < splits[500_000]
-
-
-def test_float_path_without_numpy(monkeypatch):
-    # With numpy hidden, the float path falls back to the dict engine.
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    monkeypatch.setattr(statesum, "_FLOAT_CACHE", WeakKeyDictionary())
-    t = load_asset("s2xs1")
-    got = tv(t, 4, 1, method="float")
-    exact = tv(t, 4, 1, method="exact")
-    assert abs(got.value - 1) < 1e-12
-    assert abs(got.value - exact.value) < 1e-12
-    assert got.coloring_count == exact.coloring_count == 736256
-
-
-@pytest.mark.parametrize(
-    "jobs, method", [(0, "exact"), (-3, "exact"), (0, "float"), (2, "float")]
-)
-def test_bad_jobs_raise(jobs, method):
-    with pytest.raises(ValueError, match="jobs"):
-        tv(boundary_4_simplex(), 5, 1, method=method, jobs=jobs)
 
 
 def test_repeated_calls_are_consistent():
