@@ -7,7 +7,8 @@ Subcommands:
   seifert SYMBOL --r R [--s S] [--refined] [--mode closed_form|hansen]
       Invariant of a Seifert symbol, as {"value", "vanishing"};
       "vanishing" is true only when the zero is exact by the unit
-      criterion, never from a numerically small value.
+      criterion, never from a numerically small value.  A symbol with
+      no pairs, such as "0;", takes its cone order from R.
   hempel SYMBOL --k K --r-max N [--csv PATH] [--tol T]
       Distinguishability report for the pair (symbol, iterate(symbol, k)).
       Without --csv the CSV goes to stdout and the verdict to stderr;
@@ -97,8 +98,9 @@ def _cmd_seifert(args: argparse.Namespace, out: TextIO) -> int:
             raise ValueError("the hansen route computes s = 1 only")
         payload = {"value": tv_seifert(sym, args.r), "vanishing": False}
     else:
-        value = tv_closed_form(sym, args.s, refined=args.refined, a=None)
-        a = sym.pairs[0][0]
+        # A symbol without pairs (Sigma_g x S^1) takes its cone order from r.
+        a = sym.pairs[0][0] if sym.pairs else args.r
+        value = tv_closed_form(sym, args.s, refined=args.refined, a=a)
         if isinstance(value, Vanishing):
             if args.r % a != 0:
                 raise ValueError(

@@ -316,7 +316,8 @@ def _poly_ext_gcd(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction],
     while any(r1):
         q, rem = _frac_poly_divmod(r0, r1)
         r0, r1 = r1, rem
-        u0, u1 = u1, _frac_poly_sub(u0, _frac_poly_mul(q, u1))
+        # The int zeros of _poly_mul become Fractions in _frac_poly_sub.
+        u0, u1 = u1, _frac_poly_sub(u0, _poly_mul(q, u1))
     while len(r0) > 1 and r0[-1] == 0:
         r0.pop()
     return r0, u0
@@ -340,15 +341,6 @@ def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fr
     while len(num) > 1 and num[-1] == 0:
         num.pop()
     return quot, num
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

@@ -190,31 +190,19 @@ def report(
         )
 
     for r in range(3, r_max + 1):
-        if a is not None and r % a == 0:
-            if cert is None:
-                for s in range(1, r):
-                    if math.gcd(s, r) != 1:
+        if a is not None and r % a == 0 and (cert is None or r == a):
+            for s in range(1, r):
+                if math.gcd(s, r) != 1:
+                    continue
+                for refined in (False, True) if r % 2 == 1 and s % 2 == 0 else (False,):
+                    if cert is None:
+                        add_value_row(r, s, refined, 0.0, 0.0, "vanishing", False)
                         continue
-                    add_value_row(r, s, False, 0.0, 0.0, "vanishing", False)
-                    if r % 2 == 1 and s % 2 == 0:
-                        add_value_row(r, s, True, 0.0, 0.0, "vanishing", False)
-            elif r == a:
-                for s in range(1, r):
-                    if math.gcd(s, r) != 1:
-                        continue
-                    va = tv_closed_form(sym, s, a=a)
-                    vb = tv_closed_form(sym_b, s, a=a)
+                    va = tv_closed_form(sym, s, refined=refined, a=a)
+                    vb = tv_closed_form(sym_b, s, refined=refined, a=a)
                     assert not isinstance(va, Vanishing)
                     assert not isinstance(vb, Vanishing)
-                    add_value_row(r, s, False, va, vb, "closed_form", False)
-                    if r % 2 == 1 and s % 2 == 0:
-                        va2 = tv_closed_form(sym, s, refined=True, a=a)
-                        vb2 = tv_closed_form(sym_b, s, refined=True, a=a)
-                        add_value_row(r, s, True, va2, vb2, "closed_form", False)
-            else:
-                rows.append(
-                    ReportRow(r, None, None, None, None, None, None, None, "out_of_scope")
-                )
+                    add_value_row(r, s, refined, va, vb, "closed_form", False)
         elif math.gcd(r, d) == 1:
             va = tv_seifert(sym, r)
             vb = tv_seifert(sym_b, r)

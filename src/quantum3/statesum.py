@@ -14,7 +14,10 @@ greedy face-completing order and partial sums are merged over the colors
 of edges whose faces and tetrahedra are all complete, which collapses
 the exponential stream to a frontier of active edges.  One vectorized
 frontier engine does this over int64 keys, with one value column per
-evaluation point.  The float path carries complex values at
+evaluation point, and one function (_grand_sum) with one cache serves
+both arithmetic domains.  It builds the weights once per grand sum and
+lays each domain's values out in the same dense face and tetrahedron
+tables.  The float path carries complex values at
 zeta = e^(i pi s/r).  The exact path carries int64 residues modulo
 primes p = 1 (mod 2r) at the roots of the coefficient ring mod p, one
 prime per sweep, and recovers the grand sum as one CycloNum by CRT and
@@ -193,23 +196,6 @@ class _Schedule:
                     self.slot_count += 1
                 self.slot[e] = heapq.heappop(free)
 
-        # Per position: index maps for state projection and rebuilding.
-        self.before_index: list[dict[int, int]] = []
-        self.relevant_idx: list[tuple[int, ...]] = []  # -1 stands for the new edge
-        self.rebuild_idx: list[tuple[int, ...]] = []
-        for p, e in enumerate(order):
-            before = self.active_after[p - 1] if p else ()
-            index = {eid: q for q, eid in enumerate(before)}
-            self.before_index.append(index)
-            touched = sorted(
-                {x for f in self.face_checks[p] for x in f}
-                | {x for slots in self.tet_checks[p] for x in slots}
-            )
-            self.relevant_idx.append(tuple(-1 if x == e else index[x] for x in touched))
-            self.rebuild_idx.append(
-                tuple(-1 if x == e else index[x] for x in self.active_after[p])
-            )
-
 
 def _coprime_representatives(r: int, even_only: bool) -> tuple[int, ...]:
     """Representatives 1 <= s <= r-1 of the evaluation classes: every
@@ -342,63 +328,47 @@ def _weight_rows(np, r: int, colors: tuple[int, ...]):
     return edges, face_adm.ravel(), rows(face_adm, _face_weight), rows(tet_adm, _tet_weight)
 
 
-def _vector_tables(
-    np, r: int, colors: tuple[int, ...], s_values: tuple[int, ...], residue=None
-):
-    """Lookup tables for the vector engine, indexed by position in colors
-    (the engine's key digits): (edge_tab, face_adm, face_tab, tet_tab,
-    tet_index).
+def _vector_tables(np, rows, ns: int, dtype, column):
+    """Lookup tables for the vector engine from the weight rows of
+    _weight_rows, indexed by color-index digits: (edge_tab, face_adm,
+    face_tab, tet_tab), with face_tab and tet_tab dense over the nc^3 and
+    nc^6 digit tuples and zero where a tuple is inadmissible.  column maps
+    one weight to its ns values of the given dtype: complex values at
+    zeta = e^(i pi s/r), or residues (_residue_column)."""
+    edges, face_adm, faces, tets = rows
+    nc = len(edges)
 
-    Without residue, column c holds the complex value at
-    zeta = e^(i pi s_c/r), and tet_tab is dense over the nc^6 digit
-    sextuples (tet_index is None).  With residue = (p, omega), column c
-    holds the int64 residue mod p at zeta -> omega^(s_c), and tet_tab
-    holds the admissible rows only, read through the int32 tet_index.
-    Every s_c lies in 1..r-1, and the residue at the conjugate root
-    omega^(2r - s_c) is checked to be the same, as it must be for weights
-    built from quantum integers: a failure raises ArithmeticError."""
-    edges, face_adm, faces, tets = _weight_rows(np, r, colors)
-    if residue is None:
-        dtype = np.complex128
-
-        def table(weights):
-            return np.array(
-                [[w.evaluate(s) for s in s_values] for w in weights], dtype=dtype
-            ).reshape(len(weights), len(s_values))
-    else:
-        dtype = np.int64
-        p, omega = residue
-        exponents = _root_exponents(r)
-        where = {s: k for k, s in enumerate(exponents)}
-        columns = [where[s] for s in s_values]
-        conjugates = [where[2 * r - s] for s in s_values]
-
-        def table(weights):
-            out = []
-            for w in weights:
-                res = _residues(w, p, omega)
-                row = [res[k] for k in columns]
-                if row != [res[k] for k in conjugates]:
-                    raise ArithmeticError(
-                        f"weight {w!r} is not fixed by zeta -> 1/zeta mod {p}"
-                    )
-                out.append(row)
-            return np.array(out, dtype=dtype).reshape(len(weights), len(s_values))
+    def table(weights):
+        return np.array([column(w) for w in weights], dtype=dtype).reshape(
+            len(weights), ns
+        )
 
     def dense(size, flat, weights):
-        out = np.zeros((size, len(s_values)), dtype=dtype)
+        out = np.zeros((size, ns), dtype=dtype)
         out[flat] = table(weights)
         return out
 
-    nc = len(colors)
-    face_tab = dense(nc**3, *faces)
-    if residue is None:
-        return table(edges), face_adm, face_tab, dense(nc**6, *tets), None
-    # Row 0 is the zero that every inadmissible sextuple points to.
-    flat, weights = tets
-    tet_index = np.zeros(nc**6, dtype=np.int32)
-    tet_index[flat] = np.arange(1, len(flat) + 1)
-    return table(edges), face_adm, face_tab, table([CycloNum.zero(r)] + weights), tet_index
+    return table(edges), face_adm, dense(nc**3, *faces), dense(nc**6, *tets)
+
+
+def _residue_column(r: int, s_values: tuple[int, ...], p: int, omega: int):
+    """Column function of the residue tables: the residue mod p of a
+    weight at zeta -> omega^s for each s in s_values (each in 1..r-1).
+    The residue at the conjugate root omega^(2r - s) is checked to be the
+    same, as it must be for weights built from quantum integers: a
+    failure raises ArithmeticError."""
+    where = {s: k for k, s in enumerate(_root_exponents(r))}
+    columns = [where[s] for s in s_values]
+    conjugates = [where[2 * r - s] for s in s_values]
+
+    def column(w):
+        res = _residues(w, p, omega)
+        row = [res[k] for k in columns]
+        if row != [res[k] for k in conjugates]:
+            raise ArithmeticError(f"weight {w!r} is not fixed by zeta -> 1/zeta mod {p}")
+        return row
+
+    return column
 
 
 def _run_frontier_vector(
@@ -446,15 +416,12 @@ def _run_frontier_vector(
     shift = {e: bits * q for e, q in sched.slot.items()}
     slice_rows = 2_000_000
     ns = len(s_values)
-    edge_tab, adm_flat, face_flat, tet_rows, tet_index = tables
+    edge_tab, adm_flat, face_flat, tet_flat = tables
     dtype = edge_tab.dtype
 
     def reduce(a) -> None:
         if modulus is not None:
             np.remainder(a, modulus, out=a)
-
-    def tet_factor(flat):
-        return tet_rows.take(flat if tet_index is None else tet_index.take(flat), axis=0)
 
     def sweep(p0: int, frontier: list):
         """Grand-sum columns and coloring count of the rows in frontier,
@@ -530,7 +497,7 @@ def _run_frontier_vector(
                     factors = chain(
                         (face_flat.take(pick(fi), axis=0) for fi in face_idx),
                         (
-                            tet_factor(pick(b) + x * w)
+                            tet_flat.take(pick(b) + x * w, axis=0)
                             for b, w in zip(tet_base, tet_strides)
                         ),
                         (pick(sv),),
@@ -589,89 +556,73 @@ def _run_frontier_vector(
 
 
 _GRAND_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-_FLOAT_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _sweep_plan(t: Triangulation, r: int, even_only: bool, value_bytes: int):
-    """(colors, schedule, row limit) of a vector sum whose rows carry
-    value_bytes of value columns.  An unpackable frontier fails here,
-    before any table is built."""
+def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
+    """Grand sum and coloring count, cached per triangulation under
+    (r, even_only, exact).  The sweeps run under the row limit that
+    _MEMORY_BUDGET allows, and the engine splits any frontier that passes
+    it.  The weight rows are built once and serve every sweep.
+
+    Float: one sweep carries every evaluation class as a complex column,
+    so the grand sum is a dict from each representative s (see
+    _coprime_representatives) to its complex value.
+
+    Exact: each sweep sums int64 residues modulo one prime p = 1 (mod 2r),
+    with one column per root omega^s, s in 1..r-1 prime to r.  Every
+    weight is fixed by zeta -> 1/zeta, so the grand sum has the same
+    residue at omega^(2r - s), and the columns give its residues at all
+    deg M_r roots.  Sweeps with further primes follow until the value
+    reconstructed from the earlier primes agrees with the newest one
+    (_ResidueImage), and that value is the canonical CycloNum.  The grand
+    sum is a sum of count products of one weight per edge, face and
+    tetrahedron, which bounds its height (_height_bits), so a fault that
+    makes the residues disagree raises ArithmeticError after finitely
+    many primes."""
+    per_tri = _GRAND_CACHE.setdefault(t, {})
+    key = (r, even_only, exact)
+    if key in per_tri:
+        return per_tri[key]
+    import numpy as np
+
     allowed = color_range(r, even_only)
     sched = _Schedule(t)
+    # An unpackable frontier fails here, before any table is built.
     _key_bits(sched, len(allowed))
+    reps = _coprime_representatives(r, even_only and not exact)
     # A row is an int64 key, an int64 count and the value columns.  The
     # merge holds the runs, their concatenation and sorted copies at
     # once; safety is the measured peak bytes per byte of merged rows.
     safety = 2.6
-    return allowed, sched, int(_MEMORY_BUDGET / ((16 + value_bytes) * safety))
-
-
-def _float_grand_sum(t: Triangulation, r: int, even_only: bool, s: int) -> tuple[complex, int]:
-    """Grand sum evaluated at s on the float path, cached per
-    triangulation: one sweep carries every evaluation class as a complex
-    column, so asking for further s values is free.  The sweep runs
-    under the row limit that _MEMORY_BUDGET allows; the engine splits
-    any frontier that passes it."""
-    per_tri = _FLOAT_CACHE.setdefault(t, {})
-    key = (r, even_only)
-    if key not in per_tri:
-        import numpy as np
-
-        reps = _coprime_representatives(r, even_only)
-        allowed, sched, row_limit = _sweep_plan(t, r, even_only, 16 * len(reps))
-        tables = _vector_tables(np, r, allowed, reps)
+    value_bytes = (8 if exact else 16) * len(reps)
+    row_limit = int(_MEMORY_BUDGET / ((16 + value_bytes) * safety))
+    rows = _weight_rows(np, r, allowed)
+    if not exact:
+        tables = _vector_tables(
+            np, rows, len(reps), np.complex128, lambda w: [w.evaluate(s) for s in reps]
+        )
         per_tri[key] = _run_frontier_vector(sched, r, even_only, reps, tables, row_limit)
-    grands, count = per_tri[key]
-    s_norm = s % (2 * r)
-    if s_norm < r:
-        return grands[s_norm], count
-    return grands[2 * r - s_norm].conjugate(), count
-
-
-def _exact_grand_sum(t: Triangulation, r: int, even_only: bool) -> tuple[CycloNum, int]:
-    """Exact grand sum and coloring count, cached per triangulation.
-
-    Each sweep of the vector engine sums int64 residues modulo one prime
-    p = 1 (mod 2r), with one column per root omega^s, s in 1..r-1 prime
-    to r.  Every weight is fixed by zeta -> 1/zeta, so the grand sum has
-    the same residue at omega^(2r - s), and the columns give its residues
-    at all deg M_r roots.  Sweeps with further primes follow until the
-    value reconstructed from the earlier primes agrees with the newest
-    one (_ResidueImage), and that value is the canonical CycloNum.  The
-    grand sum is a sum of count products of one weight per edge, face
-    and tetrahedron, which bounds its height (_height_bits), so a fault
-    that makes the residues disagree raises ArithmeticError after
-    finitely many primes."""
-    per_tri = _GRAND_CACHE.setdefault(t, {})
-    key = (r, even_only)
-    if key not in per_tri:
-        import numpy as np
-
-        reps = _coprime_representatives(r, False)
-        allowed, sched, row_limit = _sweep_plan(t, r, even_only, 8 * len(reps))
-        image = None
-        for p, omega in _residue_primes(r):
-            tables = _vector_tables(np, r, allowed, reps, (p, omega))
-            grands, count = _run_frontier_vector(
-                sched, r, even_only, reps, tables, row_limit, modulus=p
-            )
-            if image is None:
-                edges, _, (_, face_rows), (_, tet_rows) = _weight_rows(np, r, allowed)
-                groups = [
-                    (edges, len(t.edges)),
-                    (face_rows, len(t.face_edges)),
-                    (tet_rows, len(t.tet_edges)),
-                ]
-                image = _ResidueImage(r, _height_bits(r, groups, count))
-            value = image.add(
-                p, omega, [grands[min(s, 2 * r - s)] for s in _root_exponents(r)]
-            )
-            if value is not None:
-                per_tri[key] = (value, count)
-                break
-        else:
-            raise ArithmeticError(f"no prime below 2^31 certified the grand sum at r={r}")
-    return per_tri[key]
+        return per_tri[key]
+    edges, _, (_, face_rows), (_, tet_rows) = rows
+    image = None
+    for p, omega in _residue_primes(r):
+        column = _residue_column(r, reps, p, omega)
+        tables = _vector_tables(np, rows, len(reps), np.int64, column)
+        grands, count = _run_frontier_vector(
+            sched, r, even_only, reps, tables, row_limit, modulus=p
+        )
+        if image is None:
+            groups = [
+                (edges, len(t.edges)),
+                (face_rows, len(t.face_edges)),
+                (tet_rows, len(t.tet_edges)),
+            ]
+            image = _ResidueImage(r, _height_bits(r, groups, count))
+        value = image.add(p, omega, [grands[min(s, 2 * r - s)] for s in _root_exponents(r)])
+        if value is not None:
+            per_tri[key] = (value, count)
+            return per_tri[key]
+    raise ArithmeticError(f"no prime below 2^31 certified the grand sum at r={r}")
 
 
 def _prefactor(r: int, refined: bool) -> CycloNum:
@@ -700,18 +651,21 @@ def _state_sum(
             raise ValueError("refined invariant requires odd r")
         if s % 2:
             raise ValueError("refined invariant requires even s")
+    if method not in ("exact", "float"):
+        raise ValueError(f"unknown method {method!r}; use 'exact' or 'float'")
+    grand, count = _grand_sum(t, r, refined, method == "exact")
     if method == "exact":
-        grand, count = _exact_grand_sum(t, r, refined)
         total = _prefactor(r, refined) ** t.vertex_count * grand
         raw = total.evaluate(s)
-    elif method == "float":
+    else:
         # Measured against exact: at most 2.3e-14 relative on s2xs1 at r=5
         # and 1.7e-14 on the sphere at r=3..7; integrality checks need "exact".
         pre = _prefactor(r, refined).evaluate(s) ** t.vertex_count
-        grand, count = _float_grand_sum(t, r, refined, s)
-        raw = pre * grand
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'exact' or 'float'")
+        s_norm = s % (2 * r)
+        if s_norm < r:
+            raw = pre * grand[s_norm]
+        else:
+            raw = pre * grand[2 * r - s_norm].conjugate()
     return _finish(raw, r, s, refined, count)
 
 

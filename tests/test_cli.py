@@ -95,6 +95,18 @@ def test_seifert_modes_agree(capsys):
     assert closed["vanishing"] is False
 
 
+def test_seifert_without_pairs_takes_cone_order_from_r(capsys):
+    # Sigma_g x S^1: the closed form's cone order is the level itself.
+    for symbol, value in (("0;", 1.0), ("1;", 16.0)):
+        code, out_c, _ = run(capsys, "seifert", symbol, "--r", "5")
+        assert code == 0
+        _, out_h, _ = run(capsys, "seifert", symbol, "--r", "5", "--mode", "hansen")
+        assert json.loads(out_c) == json.loads(out_h) == {"value": value, "vanishing": False}
+    code, out, _ = run(capsys, "seifert", "1;", "--r", "7", "--refined", "--s", "2")
+    assert code == 0
+    assert json.loads(out) == {"value": 9.0, "vanishing": False}
+
+
 def test_seifert_domain_errors(capsys):
     code, _, err = run(
         capsys, "seifert", "0; 7/1, 7/1, 7/-1, 7/-1", "--r", "7",

@@ -18,7 +18,7 @@ from quantum3.hempel import (
     report,
     to_csv,
 )
-from quantum3.seifert import SeifertSymbol, same_manifold
+from quantum3.seifert import SeifertSymbol, same_manifold, tv_closed_form
 
 
 def sym(text: str) -> SeifertSymbol:
@@ -101,6 +101,18 @@ def test_report_distinguishable_pair():
         if row.r < 7:
             assert row.status == "ratio" and row.equal is True
             assert row.int_a is not None and row.int_b is not None
+
+
+def test_report_refined_closed_form_rows():
+    # At r = a = 7 each even s also gets a refined closed-form row.
+    s7 = sym("0; 7/1, 7/1, 7/-1, 7/-1")
+    rep = report(s7, 2, 7)
+    refined = [row for row in rep.rows if row.r == 7 and row.refined]
+    assert [row.s for row in refined] == [2, 4, 6]
+    for row in refined:
+        assert row.status == "closed_form"
+        assert row.value_a == tv_closed_form(s7, row.s, refined=True, a=7)
+        assert row.value_b == tv_closed_form(rep.symbol_b, row.s, refined=True, a=7)
 
 
 def test_report_indistinguishable_pair():

@@ -26,8 +26,8 @@ from quantum3.cyclo import CycloNum, _residue_primes
 from quantum3.statesum import (
     StateSumResult,
     _edge_weight,
-    _exact_grand_sum,
     _face_weight,
+    _grand_sum,
     _key_bits,
     _prefactor,
     _Schedule,
@@ -52,11 +52,16 @@ def dict_frontier_sum(sched: _Schedule, r: int, even_only: bool) -> tuple[CycloN
     allowed = color_range(r, even_only)
     states: dict[tuple[int, ...], list] = {(): [1, CycloNum.one(r)]}
     for p, e in enumerate(sched.order):
-        before_index = sched.before_index[p]
         face_checks = sched.face_checks[p]
         tet_checks = sched.tet_checks[p]
-        relevant = sched.relevant_idx[p]
-        rebuild = sched.rebuild_idx[p]
+        # Index maps for state projection and rebuilding; -1 stands for e.
+        before = sched.active_after[p - 1] if p else ()
+        before_index = {eid: q for q, eid in enumerate(before)}
+        touched = sorted(
+            {x for f in face_checks for x in f} | {x for slots in tet_checks for x in slots}
+        )
+        relevant = tuple(-1 if x == e else before_index[x] for x in touched)
+        rebuild = tuple(-1 if x == e else before_index[x] for x in sched.active_after[p])
 
         def raw_multiplier(x: int, key: tuple[int, ...]):
             def col(eid: int) -> int:
@@ -436,7 +441,7 @@ def _grand_case(name: str) -> Triangulation:
 )
 def test_exact_grand_sum_matches_dict_oracle(name, r, even_only):
     t = _grand_case(name)
-    grand, count = _exact_grand_sum(t, r, even_only)
+    grand, count = _grand_sum(t, r, even_only, True)
     want, want_count = dict_frontier_sum(_Schedule(t), r, even_only)
     assert (grand._num, grand._den, count) == (want._num, want._den, want_count)
 
@@ -455,7 +460,7 @@ def test_exact_grand_sum_survives_frontier_splits(monkeypatch):
     monkeypatch.setattr(statesum, "_run_frontier_vector", recording_sweep)
     monkeypatch.setattr(statesum, "_GRAND_CACHE", WeakKeyDictionary())
     monkeypatch.setattr(statesum, "_MEMORY_BUDGET", 500_000)
-    grand, count = _exact_grand_sum(t, 4, False)
+    grand, count = _grand_sum(t, 4, False, True)
     assert (grand._num, grand._den, count) == (want._num, want._den, want_count)
     # Every prime's sweep split its frontier.
     assert sweeps and all(any(n > limit for n in peaks) for limit, peaks in sweeps)
@@ -463,7 +468,7 @@ def test_exact_grand_sum_survives_frontier_splits(monkeypatch):
 
 def test_exact_s2xs1_at_r5_is_one():
     t = load_asset("s2xs1")
-    grand, count = _exact_grand_sum(t, 5, False)
+    grand, count = _grand_sum(t, 5, False, True)
     assert _prefactor(5, False) ** t.vertex_count * grand == CycloNum.one(5)
     for s in (1, 2, 3, 4, 6, 7, 8, 9):
         exact = tv(t, 5, s, method="exact")
@@ -471,17 +476,39 @@ def test_exact_s2xs1_at_r5_is_one():
         assert exact.coloring_count == count == tv(t, 5, s, method="float").coloring_count
 
 
-def test_residue_tables_reject_asymmetric_weights(monkeypatch):
+def test_residue_tables_reject_asymmetric_weights():
     # The exact path carries one column per conjugate pair of roots, which
     # is sound only for weights fixed by zeta -> 1/zeta; zeta is not.
     import numpy as np
 
     edges, *rest = statesum._weight_rows(np, 3, (0, 1))
-    bent = [CycloNum.zeta_pow(3, 1)] + edges[1:]
-    monkeypatch.setattr(statesum, "_weight_rows", lambda *args: (bent, *rest))
-    residue = next(_residue_primes(3))
+    bent = ([CycloNum.zeta_pow(3, 1)] + edges[1:], *rest)
+    p, omega = next(_residue_primes(3))
+    column = statesum._residue_column(3, (1, 2), p, omega)
     with pytest.raises(ArithmeticError, match="not fixed"):
-        statesum._vector_tables(np, 3, (0, 1), (1, 2), residue)
+        statesum._vector_tables(np, bent, 2, np.int64, column)
+
+
+def test_weight_rows_built_once_per_exact_sum(monkeypatch):
+    calls = {"_weight_rows": 0, "_vector_tables": 0, "_run_frontier_vector": 0}
+
+    def counted(name):
+        real = getattr(statesum, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(statesum, name, counted(name))
+    monkeypatch.setattr(statesum, "_GRAND_CACHE", WeakKeyDictionary())
+    tv(boundary_4_simplex(), 7, 1, method="exact")
+    # One set of weight rows, and one table build per prime's sweep.
+    assert calls["_run_frontier_vector"] >= 2
+    assert calls["_weight_rows"] == 1
+    assert calls["_vector_tables"] == calls["_run_frontier_vector"]
 
 
 def test_exact_sum_shares_engine_limits():
@@ -558,7 +585,7 @@ def test_over_budget_sweep_splits_frontier(monkeypatch):
             )
 
         monkeypatch.setattr(statesum, "_run_frontier_vector", recording_sweep)
-        monkeypatch.setattr(statesum, "_FLOAT_CACHE", WeakKeyDictionary())
+        monkeypatch.setattr(statesum, "_GRAND_CACHE", WeakKeyDictionary())
         monkeypatch.setattr(statesum, "_MEMORY_BUDGET", budget)
         split = {s: tv(t, 5, s, method="float") for s in reps}
         ((row_limit, peaks),) = sweeps
