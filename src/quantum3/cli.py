@@ -4,8 +4,10 @@ Subcommands:
   statesum FILE --r R [--s S] [--refined] [--method exact|float]
       State-sum invariant of a triangulation, as one JSON object
       {"r", "s", "refined", "value", "colorings"}.
-  seifert SYMBOL --r R [--s S] [--refined] [--mode closed_form|hansen]
-      Invariant of a Seifert symbol, as {"value", "vanishing"};
+  seifert SYMBOL --r R [--s S] [--refined]
+      Invariant of a Seifert symbol, as {"value", "vanishing"}, by the
+      formula seifert.level_route picks for level R: vanishing, closed
+      form at R = a, or the ratio at R coprime to every cone order.
       "vanishing" is true only when the zero is exact by the unit
       criterion, never from a numerically small value.  A symbol with
       no pairs, such as "0;", takes its cone order from R.
@@ -53,6 +55,7 @@ from .seifert import (
     Vanishing,
     dedekind_sum,
     tv_closed_form,
+    tv_routed,
     tv_seifert,
 )
 from .statesum import coloring_weight, tv, tv_prime
@@ -91,30 +94,8 @@ def _cmd_statesum(args: argparse.Namespace, out: TextIO) -> int:
 
 def _cmd_seifert(args: argparse.Namespace, out: TextIO) -> int:
     sym = SeifertSymbol.parse(args.symbol)
-    if args.mode == "hansen":
-        if args.refined:
-            raise ValueError("the hansen route computes the full invariant only")
-        if args.s != 1:
-            raise ValueError("the hansen route computes s = 1 only")
-        payload = {"value": tv_seifert(sym, args.r), "vanishing": False}
-    else:
-        # A symbol without pairs (Sigma_g x S^1) takes its cone order from r.
-        a = sym.pairs[0][0] if sym.pairs else args.r
-        value = tv_closed_form(sym, args.s, refined=args.refined, a=a)
-        if isinstance(value, Vanishing):
-            if args.r % a != 0:
-                raise ValueError(
-                    f"closed form covers levels divisible by {a}, got r={args.r}"
-                )
-            payload = {"value": 0.0, "vanishing": True}
-        else:
-            if args.r != a:
-                raise ValueError(
-                    f"closed form with a unit certificate covers r = {a} only, "
-                    f"got r={args.r}"
-                )
-            payload = {"value": value, "vanishing": False}
-    print(json.dumps(payload), file=out)
+    value, route = tv_routed(sym, args.r, args.s, refined=args.refined)
+    print(json.dumps({"value": value, "vanishing": route == "vanishing"}), file=out)
     return 0
 
 
@@ -372,10 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help="level, r >= 3")
     p.add_argument("--s", type=int, default=1, help="root choice (default 1)")
     p.add_argument("--refined", action="store_true", help="even-color invariant")
-    p.add_argument(
-        "--mode", choices=("closed_form", "hansen"), default="closed_form",
-        help="unit-certificate closed form or the squared-ratio route",
-    )
     p.set_defaults(handler=_cmd_seifert)
 
     p = sub.add_parser("hempel", help="distinguishability report for an iterate pair")

@@ -92,31 +92,11 @@ class Triangulation:
             (self.edge_index[(a, b)], self.edge_index[(a, c)], self.edge_index[(b, c)])
             for (a, b, c) in face_set
         )
-        tet_edges = []
-        tet_faces = []
-        for v0, v1, v2, v3 in tets:
-            ei = self.edge_index
-            tet_edges.append(
-                (
-                    ei[(v0, v1)],
-                    ei[(v0, v2)],
-                    ei[(v1, v2)],
-                    ei[(v2, v3)],
-                    ei[(v1, v3)],
-                    ei[(v0, v3)],
-                )
-            )
-            fi = self.face_index
-            tet_faces.append(
-                (
-                    fi[(v0, v1, v2)],
-                    fi[(v0, v1, v3)],
-                    fi[(v0, v2, v3)],
-                    fi[(v1, v2, v3)],
-                )
-            )
-        self.tet_edges: tuple[tuple[int, ...], ...] = tuple(tet_edges)
-        self.tet_faces: tuple[tuple[int, ...], ...] = tuple(tet_faces)
+        ei = self.edge_index
+        self.tet_edges: tuple[tuple[int, ...], ...] = tuple(
+            (ei[(v0, v1)], ei[(v0, v2)], ei[(v1, v2)], ei[(v2, v3)], ei[(v1, v3)], ei[(v0, v3)])
+            for v0, v1, v2, v3 in tets
+        )
 
         face_tets: dict[int, list[int]] = {i: [] for i in range(len(face_set))}
         for t_id, quad in enumerate(tets):
@@ -380,21 +360,6 @@ def split_coloring(coloring: Coloring) -> tuple[Coloring, Coloring]:
             c3.append(1)
             cp.append(r - 2 - c)
     return Coloring(3, tuple(c3)), Coloring(r, tuple(cp))
-
-
-def merge_coloring(c3: Coloring, cprime: Coloring) -> Coloring:
-    """Inverse of split_coloring: c = c' where c3 = 0, and r-2-c' where c3 = 1."""
-    r = cprime.level_r
-    if r % 2 == 0:
-        raise ValueError("merging requires odd r")
-    if c3.level_r != 3:
-        raise ValueError("first argument must be a level-3 coloring")
-    if len(c3) != len(cprime):
-        raise ValueError("coloring length mismatch")
-    if any(c % 2 for c in cprime.colors):
-        raise ValueError("second argument must be even-valued")
-    merged = [c if b == 0 else r - 2 - c for b, c in zip(c3.colors, cprime.colors)]
-    return Coloring(r, tuple(merged))
 
 
 def normal_surface_euler_parity(t: Triangulation, c3: Coloring) -> int:

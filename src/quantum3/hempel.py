@@ -14,21 +14,18 @@ symbol (g; (a_j, b_j k*)) where k k* == 1 (mod d); k* is normalized to
 the least positive inverse.  Two iterates give homeomorphic tori exactly
 when k == +-1 (mod d), so a pair (f, f^k) is "trivial" in that case.
 
-report() compares the invariants of the two tori level by level:
+report() compares the invariants of the two tori level by level, on the
+route that seifert.level_route picks for the level (both tori share it):
 
-- r divisible by the uniform cone order a, unit criterion fails: every
-  value vanishes, for both the plain and refined invariants;
-- r equal to the uniform a, unit criterion holds: closed-form values for
-  every s coprime to a (refined where defined);
-- r a proper multiple of a with a certificate: no implemented formula,
-  marked out of scope rather than approximated;
-- r coprime to d: the surgery-formula ratio gives the s = 1 value, which
-  is an integer for mapping tori at levels coprime to the order, so the
-  rows carry near-integer flags;
-- anything else: marked out of scope.
+- "vanishing" and "closed_form": one row per s coprime to r, plus a
+  refined row when r is odd and s even;
+- "ratio": the surgery-formula ratio gives the s = 1 value, which is an
+  integer for mapping tori at levels coprime to the order, so the rows
+  carry near-integer flags;
+- "out_of_scope": one marker row, rather than an approximation.
 
-Rows are sorted by (r, s, refined) and serialized to CSV with the header
-r,s,refined,value_A,value_B,equal,int_A,int_B,status.
+Rows come in (r, s, refined) order and are serialized to CSV with the
+header r,s,refined,value_A,value_B,equal,int_A,int_B,status.
 """
 
 from __future__ import annotations
@@ -37,14 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .seifert import (
-    SeifertSymbol,
-    Vanishing,
-    check_unit_criterion,
-    euler_number,
-    tv_closed_form,
-    tv_seifert,
-)
+from .seifert import SeifertSymbol, euler_number, level_route, tv_routed
 
 INTEGRALITY_TOL = 1e-6
 
@@ -138,19 +128,6 @@ def is_trivial_pair(sym: SeifertSymbol, k: int) -> bool:
     return k % d in (1 % d, -1 % d)
 
 
-def _uniform_closed_form_a(sym: SeifertSymbol) -> int | None:
-    """The uniform cone order when the closed-form hypotheses hold."""
-    orders = {a for a, _ in sym.pairs}
-    if len(orders) != 1:
-        return None
-    a = orders.pop()
-    if a < 3 or sym.n >= a:
-        return None
-    if sum(b for _, b in sym.pairs) != 0:
-        return None
-    return a
-
-
 def _near_int(value: float) -> int | None:
     nearest = round(value)
     return int(nearest) if abs(value - nearest) <= INTEGRALITY_TOL else None
@@ -168,51 +145,36 @@ def report(
     d = _order(sym)
     k_star = _inverse_mod(k, d)
     sym_b = iterate(sym, k)
-    a = _uniform_closed_form_a(sym)
-    cert = check_unit_criterion(sym, a=a) if a is not None else None
-
     rows: list[ReportRow] = []
-
-    def add_value_row(r: int, s: int, refined: bool, va: float, vb: float, status: str, flag_int: bool) -> None:
-        equal = abs(va - vb) < tol * (1 + max(abs(va), abs(vb)))
-        rows.append(
-            ReportRow(
-                r=r,
-                s=s,
-                refined=refined,
-                value_a=va,
-                value_b=vb,
-                equal=equal,
-                int_a=_near_int(va) if flag_int else None,
-                int_b=_near_int(vb) if flag_int else None,
-                status=status,
-            )
-        )
-
     for r in range(3, r_max + 1):
-        if a is not None and r % a == 0 and (cert is None or r == a):
-            for s in range(1, r):
-                if math.gcd(s, r) != 1:
-                    continue
-                for refined in (False, True) if r % 2 == 1 and s % 2 == 0 else (False,):
-                    if cert is None:
-                        add_value_row(r, s, refined, 0.0, 0.0, "vanishing", False)
-                        continue
-                    va = tv_closed_form(sym, s, refined=refined, a=a)
-                    vb = tv_closed_form(sym_b, s, refined=refined, a=a)
-                    assert not isinstance(va, Vanishing)
-                    assert not isinstance(vb, Vanishing)
-                    add_value_row(r, s, refined, va, vb, "closed_form", False)
-        elif math.gcd(r, d) == 1:
-            va = tv_seifert(sym, r)
-            vb = tv_seifert(sym_b, r)
-            add_value_row(r, 1, False, va, vb, "ratio", True)
-        else:
+        route = level_route(sym, r)
+        if route == "out_of_scope":
+            rows.append(ReportRow(r, None, None, None, None, None, None, None, route))
+            continue
+        cells = [(1, False)] if route == "ratio" else [
+            (s, refined)
+            for s in range(1, r)
+            if math.gcd(s, r) == 1
+            for refined in ((False, True) if r % 2 == 1 and s % 2 == 0 else (False,))
+        ]
+        flag_int = route == "ratio"
+        for s, refined in cells:
+            va = tv_routed(sym, r, s, refined)[0]
+            vb = tv_routed(sym_b, r, s, refined)[0]
             rows.append(
-                ReportRow(r, None, None, None, None, None, None, None, "out_of_scope")
+                ReportRow(
+                    r=r,
+                    s=s,
+                    refined=refined,
+                    value_a=va,
+                    value_b=vb,
+                    equal=abs(va - vb) < tol * (1 + max(abs(va), abs(vb))),
+                    int_a=_near_int(va) if flag_int else None,
+                    int_b=_near_int(vb) if flag_int else None,
+                    status=route,
+                )
             )
 
-    rows.sort(key=lambda row: (row.r, row.s if row.s is not None else -1, bool(row.refined)))
     if is_trivial_pair(sym, k):
         verdict = "trivial"
     else:

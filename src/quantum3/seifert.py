@@ -1,7 +1,9 @@
 """Seifert fibered spaces with orientable base and fibration: symbols and
 their equivalence moves, exact Dedekind sums, the quantum-invariant ratio
 formula, and closed forms / vanishing criteria for Turaev-Viro invariants
-of uniform-cone-order symbols.
+of uniform-cone-order symbols.  level_route says which of these formulas
+covers a level, and tv_routed evaluates it; the CLI and the Hempel
+report take every Seifert value from there.
 
 Conventions.  A symbol (g; (a_1,b_1), ..., (a_n,b_n)) has base genus
 g >= 0 and coprime pairs with a_j >= 1; the rational Euler number is
@@ -287,49 +289,87 @@ def tv_closed_form(
     return a ** (n + 2 * g - 2) / 2 ** two_exp / sin_pow
 
 
-def tv3_seifert(sym: SeifertSymbol) -> tuple[float, float]:
-    """(TV_{3,1}, TV_{3,2}) = (2^{2g}, 2^{2g}) for symbols whose cone
-    orders are all odd and whose Euler number vanishes."""
-    if any(a % 2 == 0 for a, _ in sym.pairs):
-        raise ValueError("requires all cone orders odd")
-    if euler_number(sym) != 0:
-        raise ValueError("requires zero Euler number")
-    return (float(2 ** (2 * sym.g)), float(2 ** (2 * sym.g)))
+def _closed_form_order(sym: SeifertSymbol, r: int) -> int | None:
+    """The uniform cone order a when the closed-form hypotheses hold
+    (a >= 3, n < a, sum b_j = 0), else None; a symbol with no pairs
+    takes a = r."""
+    orders = {a for a, _ in sym.pairs} or {r}
+    if len(orders) != 1:
+        return None
+    (a,) = orders
+    if a < 3 or sym.n >= a or sum(b for _, b in sym.pairs) != 0:
+        return None
+    return a
+
+
+def level_route(sym: SeifertSymbol, r: int) -> str:
+    """Which formula gives the invariants of the symbol at level r.
+
+    - "vanishing": a divides r and no unit certificate exists, so every
+      value is 0 (a the closed-form cone order, see tv_closed_form);
+    - "closed_form": r = a and a certificate exists;
+    - "ratio": r is coprime to every cone order (hansen_ratio);
+    - "out_of_scope": no implemented formula, such as a proper multiple
+      of a with a certificate, or a level sharing a factor with a cone
+      order."""
+    if r < 3:
+        raise ValueError(f"level must satisfy r >= 3, got {r}")
+    a = _closed_form_order(sym, r)
+    if a is not None and r % a == 0:
+        if check_unit_criterion(sym, a) is None:
+            return "vanishing"
+        return "closed_form" if r == a else "out_of_scope"
+    if all(gcd(r, a) == 1 for a, _ in sym.pairs):
+        return "ratio"
+    return "out_of_scope"
+
+
+def tv_routed(
+    sym: SeifertSymbol, r: int, s: int = 1, refined: bool = False
+) -> tuple[float, str]:
+    """TV_{r,s} (TV'_{r,s} when refined) by the formula level_route picks,
+    with the route's name.
+
+    The ratio gives s = +-1 (mod 2r) only; refined, it gives
+    TV'_{r,s} = TV_{r,1} / TV_{3,1} with TV_{3,1} = 2^{2g} at
+    s = r -+ 1 (mod 2r), for odd cone orders and zero Euler number.
+
+    errors: ValueError when r < 3, s is not coprime to r, a refined
+    invariant has even r or odd s, or no implemented formula covers
+    (r, s)."""
+    route = level_route(sym, r)
+    if gcd(s, r) != 1:
+        raise ValueError(f"s={s} must be coprime to r={r}")
+    if refined and (r % 2 == 0 or s % 2):
+        raise ValueError(f"refined invariant requires odd r and even s, got r={r}, s={s}")
+    if route == "vanishing":
+        return 0.0, route
+    if route == "closed_form":
+        value = tv_closed_form(sym, s, refined=refined, a=r)
+        assert not isinstance(value, Vanishing)
+        return value, route
+    if route == "out_of_scope":
+        raise ValueError(
+            f"no implemented formula for ({sym}) at r={r}: the closed form covers "
+            "r = a, the vanishing criterion multiples of a, and the ratio levels "
+            "coprime to every cone order"
+        )
+    if not refined and s % (2 * r) in (1, 2 * r - 1):
+        return tv_seifert(sym, r), route
+    if refined and s % (2 * r) in (r - 1, r + 1):
+        if any(a % 2 == 0 for a, _ in sym.pairs):
+            raise ValueError("refined ratio route requires all cone orders odd")
+        if euler_number(sym) != 0:
+            raise ValueError("refined ratio route requires zero Euler number")
+        return tv_seifert(sym, r) / float(2 ** (2 * sym.g)), route
+    raise ValueError(
+        f"no implemented formula for s={s} at r={r}: the ratio route covers only "
+        "s = +-1 (mod 2r), refined s = r -+ 1"
+    )
 
 
 def tv_prime_seifert(sym: SeifertSymbol, r: int, s: int) -> float:
-    """TV'_{r,s} for symbols with all cone orders odd and zero Euler
-    number, on the two computable routes:
-
-    - r divisible by the uniform cone order a: the refined closed form at
-      r = a, or 0 when the certificate does not exist (any multiple of a);
-    - r coprime to every cone order and s = r -+ 1 (mod 2r): TV_{r,1} via
-      the ratio formula divided by TV_{3,1} = 2^{2g}.
-
-    Other levels are not covered by an implemented formula and raise."""
-    if r < 3 or r % 2 == 0:
-        raise ValueError(f"requires odd r >= 3, got {r}")
-    if s % 2 or gcd(s, r) != 1:
-        raise ValueError(f"requires even s coprime to r, got s={s}")
-    if any(a % 2 == 0 for a, _ in sym.pairs):
-        raise ValueError("requires all cone orders odd")
-    if euler_number(sym) != 0:
-        raise ValueError("requires zero Euler number")
-    uniform = sym.pairs and all(a == sym.pairs[0][0] for a, _ in sym.pairs)
-    if uniform and r % sym.pairs[0][0] == 0:
-        a = sym.pairs[0][0]
-        cert = check_unit_criterion(sym)
-        if cert is None:
-            return 0.0
-        if r != a:
-            raise ValueError(
-                f"no implemented formula at r={r}: certificate exists and r is a proper multiple of a={a}"
-            )
-        value = tv_closed_form(sym, s, refined=True)
-        assert not isinstance(value, Vanishing)
-        return value
-    if s % (2 * r) in (r - 1, r + 1):
-        return tv_seifert(sym, r) / float(2 ** (2 * sym.g))
-    raise ValueError(
-        f"no implemented formula for s={s} at r={r}: the ratio route covers only s = r -+ 1 (mod 2r)"
-    )
+    """TV'_{r,s} by the route of tv_routed: the refined closed form at
+    r = a, 0 at vanishing levels, and TV_{r,1} / 2^{2g} at levels coprime
+    to every cone order with s = r -+ 1 (mod 2r).  Other (r, s) raise."""
+    return tv_routed(sym, r, s, refined=True)[0]

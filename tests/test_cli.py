@@ -14,6 +14,8 @@ import pytest
 from quantum3 import statesum
 from quantum3.cli import main
 from quantum3.complex3 import asset_dir
+from quantum3.hempel import report
+from quantum3.seifert import SeifertSymbol, tv_prime_seifert, tv_seifert
 
 
 def run(capsys, *argv):
@@ -76,47 +78,95 @@ def test_statesum_refined_and_float(capsys):
 
 
 def test_seifert_vanishing_json(capsys):
-    code, out, _ = run(
-        capsys, "seifert", "0; 5/1, 5/1, 5/-2", "--r", "5", "--mode", "closed_form"
-    )
+    code, out, _ = run(capsys, "seifert", "0; 5/1, 5/1, 5/-2", "--r", "5")
     assert code == 0
     assert json.loads(out) == {"value": 0.0, "vanishing": True}
 
 
 def test_seifert_modes_agree(capsys):
-    _, out_c, _ = run(capsys, "seifert", "0; 7/1, 7/1, 7/-1, 7/-1", "--r", "7")
-    _, out_h, _ = run(
-        capsys, "seifert", "0; 7/1, 7/1, 7/-1, 7/-1", "--r", "7", "--mode", "hansen"
-    )
+    # The closed form at r = a and the ratio at a level coprime to a.
+    s7 = "0; 7/1, 7/1, 7/-1, 7/-1"
+    _, out_c, _ = run(capsys, "seifert", s7, "--r", "7")
     closed = json.loads(out_c)
-    hansen = json.loads(out_h)
     assert abs(closed["value"] - 49 / 16 / math.sin(math.pi / 7) ** 4) < 1e-9
-    assert abs(closed["value"] - hansen["value"]) < 1e-8 * closed["value"]
+    assert abs(closed["value"] - tv_seifert(SeifertSymbol.parse(s7), 7)) < 1e-8 * closed["value"]
     assert closed["vanishing"] is False
+    s5 = "0; 5/1, 5/1, 5/-2"
+    code, out_r, _ = run(capsys, "seifert", s5, "--r", "7")
+    assert code == 0
+    assert json.loads(out_r) == {
+        "value": tv_seifert(SeifertSymbol.parse(s5), 7), "vanishing": False
+    }
 
 
 def test_seifert_without_pairs_takes_cone_order_from_r(capsys):
     # Sigma_g x S^1: the closed form's cone order is the level itself.
     for symbol, value in (("0;", 1.0), ("1;", 16.0)):
-        code, out_c, _ = run(capsys, "seifert", symbol, "--r", "5")
+        code, out, _ = run(capsys, "seifert", symbol, "--r", "5")
         assert code == 0
-        _, out_h, _ = run(capsys, "seifert", symbol, "--r", "5", "--mode", "hansen")
-        assert json.loads(out_c) == json.loads(out_h) == {"value": value, "vanishing": False}
+        assert json.loads(out) == {"value": value, "vanishing": False}
+        assert abs(value - tv_seifert(SeifertSymbol.parse(symbol), 5)) < 1e-9 * value
     code, out, _ = run(capsys, "seifert", "1;", "--r", "7", "--refined", "--s", "2")
     assert code == 0
     assert json.loads(out) == {"value": 9.0, "vanishing": False}
 
 
 def test_seifert_domain_errors(capsys):
-    code, _, err = run(
-        capsys, "seifert", "0; 7/1, 7/1, 7/-1, 7/-1", "--r", "7",
-        "--mode", "hansen", "--s", "2",
-    )
-    assert code == 1 and err.startswith("error:")
-    code, _, err = run(capsys, "seifert", "0; 5/1, 5/1, 5/-2", "--r", "7")
-    assert code == 1 and err.startswith("error:")
-    code, _, err = run(capsys, "seifert", "not a symbol", "--r", "5")
-    assert code == 1 and err.startswith("error:")
+    for argv in (
+        # A proper multiple of a with a unit certificate: no formula.
+        ("0; 7/1, 7/1, 7/-1, 7/-1", "--r", "14"),
+        # The ratio covers s = +-1 (mod 2r) only.
+        ("0; 5/1, 5/1, 5/-2", "--r", "7", "--s", "2"),
+        # The --mode option is gone.
+        ("0; 7/1, 7/1, 7/-1, 7/-1", "--r", "7", "--mode", "hansen"),
+        ("not a symbol", "--r", "5"),
+    ):
+        code, _, err = run(capsys, "seifert", *argv)
+        assert code == 1 and err.startswith("error:")
+
+
+def test_seifert_rejects_s_not_coprime_to_r(capsys):
+    for flags in ((), ("--refined",)):
+        code, out, err = run(
+            capsys, "seifert", "0; 5/1, 5/1, 5/-2", "--r", "10", "--s", "2", *flags
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
+
+ROUTE_SYMBOLS = (
+    "0; 7/1, 7/1, 7/-1, 7/-1",
+    "0; 5/1, 5/1, 5/-2",
+    "1; 5/1, 5/-1",
+    "0; 7/1, 7/2, 7/-3",
+    "2; 7/1, 7/-1",
+    "0; 3/1, 3/-1, 5/1, 5/-1",
+    "0; 9/1, 9/-1",
+    "0; 7/1, 7/1, 7/1, 7/-3",
+    "0; 4/1, 4/-1",
+    "1;",
+)
+
+
+@pytest.mark.parametrize("text", ROUTE_SYMBOLS)
+def test_seifert_cli_follows_report_routes(text, capsys):
+    # The CLI, the Hempel report and tv_prime_seifert take one route per
+    # level: the CLI prints each row's value_A and flags exactly the
+    # vanishing rows, and out-of-scope levels exit 1.
+    symbol = SeifertSymbol.parse(text)
+    for row in report(symbol, 1, 30).rows:
+        if row.status == "out_of_scope":
+            code, _, err = run(capsys, "seifert", text, "--r", str(row.r))
+            assert code == 1 and err.startswith("error:")
+            continue
+        flags = ("--refined",) if row.refined else ()
+        code, out, _ = run(capsys, "seifert", text, "--r", str(row.r), "--s", str(row.s), *flags)
+        assert code == 0, (row.r, row.s, row.refined)
+        assert json.loads(out) == {
+            "value": row.value_a, "vanishing": row.status == "vanishing"
+        }
+        if row.refined:
+            assert tv_prime_seifert(symbol, row.r, row.s) == row.value_a
 
 
 def test_hempel_csv_on_stdout(capsys):

@@ -20,7 +20,6 @@ from quantum3.complex3 import (
     is_admissible,
     load_asset,
     load_triangulation,
-    merge_coloring,
     normal_surface_euler_parity,
     split_coloring,
 )
@@ -170,6 +169,13 @@ def test_level3_count_matches_cocycle_dimension():
     s2s1 = load_asset("s2xs1.json")
     v = s2s1.vertex_count
     assert sum(1 for _ in enumerate_admissible(s2s1, 3)) == 2**v
+
+
+def merge_coloring(c3: Coloring, cprime: Coloring) -> Coloring:
+    """Inverse of split_coloring: c = c' where c3 = 0, and r-2-c' where c3 = 1."""
+    r = cprime.level_r
+    merged = [c if b == 0 else r - 2 - c for b, c in zip(c3.colors, cprime.colors, strict=True)]
+    return Coloring(r, tuple(merged))
 
 
 def test_split_merge_round_trip():

@@ -115,6 +115,16 @@ def test_report_refined_closed_form_rows():
         assert row.value_b == tv_closed_form(rep.symbol_b, row.s, refined=True, a=7)
 
 
+def test_report_without_pairs_uses_closed_form():
+    # Sigma_g x S^1 takes a = r, so every level is a closed-form level.
+    one = sym("1;")
+    rep = report(one, 1, 6)
+    assert len(rep.rows) == 13
+    for row in rep.rows:
+        assert row.status == "closed_form"
+        assert row.value_a == tv_closed_form(one, row.s, refined=row.refined, a=row.r)
+
+
 def test_report_indistinguishable_pair():
     rep = report(sym("0; 5/1, 5/1, 5/-2"), 2, 12)
     assert rep.verdict == "indistinguishable_up_to(12)"

@@ -17,8 +17,8 @@ from quantum3.seifert import (
     dedekind_sum,
     euler_number,
     hansen_ratio,
+    level_route,
     same_manifold,
-    tv3_seifert,
     tv_closed_form,
     tv_prime_seifert,
     tv_seifert,
@@ -338,13 +338,22 @@ def test_closed_form_n_zero_other_s_and_refined():
             assert abs(closed - ((a - 1) / 2) ** 2) < 1e-10 * a**2
 
 
-def test_tv3_examples():
-    assert tv3_seifert(sym("0; 5/1, 5/1, 5/-2")) == (1.0, 1.0)
-    assert tv3_seifert(sym("1; 7/1, 7/-1")) == (4.0, 4.0)
+def test_level_route_examples():
+    s7 = sym("0; 7/1, 7/1, 7/-1, 7/-1")
+    assert [level_route(s7, r) for r in (7, 8, 14, 21)] == [
+        "closed_form", "ratio", "out_of_scope", "out_of_scope"
+    ]
+    assert [level_route(sym("0; 5/1, 5/1, 5/-2"), r) for r in (5, 10, 11)] == [
+        "vanishing", "vanishing", "ratio"
+    ]
+    # A symbol without pairs takes a = r.  Mixed cone orders, or a <= n,
+    # have no closed form, so levels sharing a factor with a cone order
+    # have no formula.
+    assert level_route(sym("1;"), 6) == "closed_form"
+    assert level_route(sym("0; 3/1, 3/-1, 5/1, 5/-1"), 15) == "out_of_scope"
+    assert level_route(sym("0; 3/1, 3/1, 3/-2"), 3) == "out_of_scope"
     with pytest.raises(ValueError):
-        tv3_seifert(sym("0; 4/1, 4/-1"))
-    with pytest.raises(ValueError):
-        tv3_seifert(sym("0; 5/1, 5/1"))
+        level_route(s7, 2)
 
 
 def test_tv_prime_routes():
@@ -379,6 +388,12 @@ def test_tv_prime_validation():
         tv_prime_seifert(s5, 11, 4)
     with pytest.raises(ValueError):
         tv_prime_seifert(sym("0; 4/1, 4/-1"), 5, 2)
+    # Levels sharing a factor with a cone order, other than r = a and
+    # the vanishing multiples of a, have no formula.
+    with pytest.raises(ValueError):
+        tv_prime_seifert(sym("0; 3/1, 3/-1, 5/1, 5/-1"), 15, 14)
+    with pytest.raises(ValueError):
+        tv_prime_seifert(sym("0; 9/1, 9/-1"), 3, 2)
 
 
 def test_simplified_z_consistency():
