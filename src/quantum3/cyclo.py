@@ -14,7 +14,9 @@ For a prime p = 1 (mod 2r), M_r splits over F_p into deg M_r distinct
 linear factors, so an element is also determined by its residues at
 those roots.  _residues maps an element there; _ResidueImage maps the
 residues back by a Vandermonde solve, CRT over several primes and
-rational reconstruction, to the same canonical form.
+rational reconstruction, to the same canonical form.  The same maps give
+CycloNum.inverse: it inverts the residues, maps them back, and returns
+the result y only after the exact check y * x == 1, which certifies it.
 """
 
 from __future__ import annotations
@@ -213,21 +215,34 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> CycloNum:
-        """Multiplicative inverse; raises ZeroDivisionError if none exists."""
+        """Multiplicative inverse; raises ZeroDivisionError if none exists.
+
+        The residues of x are inverted and mapped back by _ResidueImage, and
+        a candidate y is returned only when y * x == 1 holds exactly."""
+        r = self._r
         if self.is_zero():
             raise ZeroDivisionError("division by zero CycloNum")
-        modulus = [Fraction(c) for c in _ring_modulus(self._r)]
-        a = [Fraction(c, self._den) for c in self._num]
-        g, u = _poly_ext_gcd(a, modulus)
-        if len(g) != 1:
+        # Odd r: the ring is Q[x]/Phi_r times Q[x]/Phi_2r, two fields.
+        if r % 2 and any(not any(_reduce_mod(self._num, cyclotomic_poly(n))) for n in (r, 2 * r)):
             raise ZeroDivisionError(f"{self!r} is a zero divisor")
-        scale = g[0]
-        inv = [c / scale for c in u]
-        common = 1
-        for c in inv:
-            common = common * c.denominator // math.gcd(common, c.denominator)
-        num = _reduce_mod([int(c * common) for c in inv], _ring_modulus(self._r))
-        return CycloNum._raw(self._r, num, common)
+        # Cramer and Hadamard on the matrix of multiplication by num bound
+        # the height of den / num by den times the product of column norms.
+        modulus = _ring_modulus(r)
+        column, bits = list(self._num), math.log2(self._den) + 1
+        for _ in range(len(modulus) - 1):
+            bits += math.log2(sum(c * c for c in column)) / 2
+            column = _reduce_mod([0] + column, modulus)
+        image = _ResidueImage(r, bits)
+        for p, omega in _residue_primes(r):
+            if self._den % p == 0:
+                continue
+            values = _residues(self, p, omega)
+            if 0 in values:
+                continue
+            candidate = image.add(p, omega, [pow(v, -1, p) for v in values])
+            if candidate is not None and candidate * self == 1:
+                return candidate
+        raise ArithmeticError(f"no prime below 2^31 certified the inverse of {self!r}")
 
     def __truediv__(self, other):
         other = _coerce(other, self._r)
@@ -307,47 +322,6 @@ def _coerce(value, r: int):
     if isinstance(value, (int, Fraction)):
         return CycloNum.from_rational(r, value)
     return NotImplemented
-
-
-def _poly_ext_gcd(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Return (g, u) with u*a = g (mod b), g the monic-free gcd of a and b."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [Fraction(1)], [Fraction(0)]
-    while any(r1):
-        q, rem = _frac_poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        # The int zeros of _poly_mul become Fractions in _frac_poly_sub.
-        u0, u1 = u1, _frac_poly_sub(u0, _poly_mul(q, u1))
-    while len(r0) > 1 and r0[-1] == 0:
-        r0.pop()
-    return r0, u0
-
-
-def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = list(num)
-    while len(den) > 1 and den[-1] == 0:
-        den = den[:-1]
-    dd = len(den) - 1
-    lead = den[-1]
-    if len(num) < len(den):
-        return [Fraction(0)], num
-    quot = [Fraction(0)] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k] / lead
-        if c:
-            quot[k - dd] = c
-            for j in range(dd + 1):
-                num[k - dd + j] -= c * den[j]
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 @lru_cache(maxsize=None)
@@ -528,39 +502,40 @@ class _ResidueImage:
     """One ring element at level r, known from its residues modulo a
     growing set of primes from _residue_primes.
 
-    The coefficients are combined across primes by CRT.  The element is
-    certified when the rational reconstruction from the earlier primes
-    agrees with the newest prime on every coefficient.  height_bits
-    bounds log2 of every numerator and of the denominator (see
-    _height_bits): once the modulus reaches 2^(2 height_bits + 2) the
-    reconstruction is exact, so a disagreement after that means the
-    residues are wrong, and raises ArithmeticError."""
+    The coefficients are combined across primes by CRT, and every prime
+    is folded in.  The element is certified when the rational
+    reconstruction from the earlier primes agrees with the newest prime
+    on every coefficient.  height_bits bounds log2 of every numerator
+    and of the denominator (see _height_bits and CycloNum.inverse): once
+    the modulus reaches 2^(2 height_bits + 2) the reconstruction is
+    exact, so a disagreement after that, or a further call after that
+    reconstruction was returned, means the residues are wrong, and
+    raises ArithmeticError."""
 
     def __init__(self, r: int, height_bits: float) -> None:
         self._r = r
         self._limit_bits = 2 * height_bits + 2
         self._modulus = 1
         self._coeffs = [0] * (len(_ring_modulus(r)) - 1)
+        self._exact = False
 
     def add(self, p: int, omega: int, values: list[int]) -> CycloNum | None:
         """Fold in the residues at omega^s mod p, s over _root_exponents(r)
         in order.  Returns the certified element, or None while the
         earlier primes do not yet determine it."""
+        if self._exact:
+            raise ArithmeticError("a reconstruction past its height bound was rejected")
         coeffs = [
             sum(a * v for a, v in zip(row, values)) % p
             for row in _interpolation_matrix(self._r, p, omega)
         ]
         candidate = self._reconstruct() if self._modulus > 1 else None
-        if candidate is not None and all(
+        agrees = candidate is not None and all(
             f.denominator % p != 0 and (f.numerator - f.denominator * c) % p == 0
             for f, c in zip(candidate, coeffs)
-        ):
-            common = 1
-            for f in candidate:
-                common = common * f.denominator // math.gcd(common, f.denominator)
-            num = [f.numerator * (common // f.denominator) for f in candidate]
-            return CycloNum._raw(self._r, num, common)
-        if self._modulus.bit_length() > self._limit_bits:
+        )
+        self._exact = self._modulus.bit_length() > self._limit_bits
+        if self._exact and not agrees:
             raise ArithmeticError(
                 f"residues mod {p} disagree with a reconstruction past its height bound"
             )
@@ -568,7 +543,7 @@ class _ResidueImage:
         m_inv = pow(m, -1, p)
         self._coeffs = [u + m * ((c - u) * m_inv % p) for u, c in zip(self._coeffs, coeffs)]
         self._modulus = m * p
-        return None
+        return CycloNum(self._r, candidate) if agrees else None
 
     def _reconstruct(self) -> list[Fraction] | None:
         out = []

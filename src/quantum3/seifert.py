@@ -178,26 +178,19 @@ def _z_full(sym: SeifertSymbol, r: int, b_star: list[int]) -> complex:
     return total
 
 
-def hansen_ratio(sym: SeifertSymbol, r: int, b_star: list[int] | None = None) -> complex:
+def hansen_ratio(sym: SeifertSymbol, r: int) -> complex:
     """The ratio tau_r(M) / tau_r(S^2 x S^1) = r^{g-1} U_r Z_r /
     (2^{n+g-1} sqrt(prod a_j)).
 
-    b_star optionally overrides the per-fiber congruence inverses of b_j
-    mod a_j; the result is independent of that choice.  Only the squared
-    modulus is orientation-independent, so consumers wanting an invariant
-    should use tv_seifert."""
+    Z_r uses the congruence inverses b*_j of b_j mod a_j, and reads them
+    only mod a_j (see _z_full).  Only the squared modulus is
+    orientation-independent, so consumers wanting an invariant should
+    use tv_seifert."""
     if r < 3:
         raise ValueError(f"level must satisfy r >= 3, got {r}")
-    if b_star is None:
-        b_star = [_inverse_mod(b, a) for a, b in sym.pairs]
-    else:
-        b_star = list(b_star)
-        for (a, b), bs in zip(sym.pairs, b_star, strict=True):
-            if (b * bs - 1) % a:
-                raise ValueError(f"{bs} is not an inverse of {b} mod {a}")
     e_num = euler_number(sym)
     n, g = sym.n, sym.g
-    z = _z_full(sym, r, b_star)
+    z = _z_full(sym, r, [_inverse_mod(b, a) for a, b in sym.pairs])
     sgn = (e_num > 0) - (e_num < 0)
     ded = sum((dedekind_sum(b, a) for a, b in sym.pairs), Fraction(0))
     u_arg = (Fraction(3, 2 * r) - Fraction(3, 4)) * sgn + (e_num + 12 * ded) / (2 * r)

@@ -38,6 +38,7 @@ from weakref import WeakKeyDictionary
 from quantum3.complex3 import (
     Coloring,
     Triangulation,
+    TriangulationError,
     admissible_triple,
     color_range,
     greedy_edge_order,
@@ -103,32 +104,23 @@ def _tet_weight(i: int, j: int, k: int, l: int, m: int, n: int, r: int) -> Cyclo
     return out
 
 
-def weight_edge(c: Coloring, e: int, r: int | None = None) -> CycloNum:
+def weight_edge(c: Coloring, e: int) -> CycloNum:
     """|e|_c for the edge with id e."""
-    r = c.level_r if r is None else r
-    if r != c.level_r:
-        raise ValueError(f"level mismatch: coloring at {c.level_r}, requested {r}")
-    return _edge_weight(c[e], r)
+    return _edge_weight(c[e], c.level_r)
 
 
-def weight_face(c: Coloring, f: tuple[int, int, int], r: int | None = None) -> CycloNum:
+def weight_face(c: Coloring, f: tuple[int, int, int]) -> CycloNum:
     """|f|_c for the face with edge ids f (as in Triangulation.face_edges)."""
-    r = c.level_r if r is None else r
-    if r != c.level_r:
-        raise ValueError(f"level mismatch: coloring at {c.level_r}, requested {r}")
     e1, e2, e3 = f
-    return _face_weight(c[e1], c[e2], c[e3], r)
+    return _face_weight(c[e1], c[e2], c[e3], c.level_r)
 
 
-def weight_tet(c: Coloring, t: tuple[int, ...], r: int | None = None) -> CycloNum:
+def weight_tet(c: Coloring, t: tuple[int, ...]) -> CycloNum:
     """|t|_c for the tetrahedron with slot-ordered edge ids t (as in
     Triangulation.tet_edges): slots (i,j,k,l,m,n) with opposite pairs
     (i,l), (j,m), (k,n)."""
-    r = c.level_r if r is None else r
-    if r != c.level_r:
-        raise ValueError(f"level mismatch: coloring at {c.level_r}, requested {r}")
     i, j, k, l, m, n = (c[e] for e in t)
-    return _tet_weight(i, j, k, l, m, n, r)
+    return _tet_weight(i, j, k, l, m, n, c.level_r)
 
 
 def coloring_weight(t: Triangulation, c: Coloring) -> CycloNum:
@@ -560,7 +552,10 @@ _GRAND_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 
 def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
     """Grand sum and coloring count, cached per triangulation under
-    (r, even_only, exact).  The sweeps run under the row limit that
+    (r, even_only, exact).  A triangulation is checked once, when the
+    cache first sees it, to be a closed 3-manifold
+    (Triangulation.manifold_defects); TriangulationError names its first
+    defect otherwise.  The sweeps run under the row limit that
     _MEMORY_BUDGET allows, and the engine splits any frontier that passes
     it.  The weight rows are built once and serve every sweep.
 
@@ -579,7 +574,12 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
     tetrahedron, which bounds its height (_height_bits), so a fault that
     makes the residues disagree raises ArithmeticError after finitely
     many primes."""
-    per_tri = _GRAND_CACHE.setdefault(t, {})
+    per_tri = _GRAND_CACHE.get(t)
+    if per_tri is None:
+        defects = t.manifold_defects()
+        if defects:
+            raise TriangulationError(f"not a closed 3-manifold: {defects[0]}")
+        per_tri = _GRAND_CACHE[t] = {}
     key = (r, even_only, exact)
     if key in per_tri:
         return per_tri[key]

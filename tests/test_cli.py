@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 from weakref import WeakKeyDictionary
 
@@ -233,6 +234,18 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1 and err.startswith("error:")
     code, _, err = run(capsys, "verify", "splitting", "--r", "4")
     assert code == 1 and err.startswith("error:")
+
+
+def test_statesum_rejects_pseudo_manifold(tmp_path, capsys):
+    # Two 3-spheres sharing vertex 0, as in test_complex3.
+    label = [list(q) for q in combinations(range(5), 4)]
+    pinched = label + [[0 if v == 0 else v + 4 for v in q] for q in label]
+    path = tmp_path / "pinched.json"
+    path.write_text(json.dumps({"tetrahedra": pinched}))
+    code, out, err = run(capsys, "statesum", str(path), "--r", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "vertex 0 link" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from quantum3 import cyclo
 from quantum3.cyclo import (
     CycloNum,
     _height_bits,
@@ -113,6 +114,54 @@ def test_quantum_integers_invertible_below_r():
             x = quantum_int(n, r)
             assert not x.is_zero()
             assert x * x.inverse() == CycloNum.one(r)
+
+
+def test_zero_divisors_at_odd_r_raise():
+    # zeta^r + 1 vanishes at the order-2r roots and zeta^r - 1 at the
+    # order-r roots; neither is zero in the ring.
+    for r in (5, 7, 9):
+        for x in (CycloNum.zeta_pow(r, r) + 1, CycloNum.zeta_pow(r, r) - 1):
+            assert not x.is_zero()
+            with pytest.raises(ZeroDivisionError, match="zero divisor"):
+                x.inverse()
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            CycloNum.zero(r).inverse()
+
+
+def test_every_nonzero_element_inverts_at_even_r():
+    # For even r the ring is the field Q[x]/Phi_2r.
+    rng = random.Random(20261019)
+    for r in (4, 6, 8, 10, 12):
+        for _ in range(10):
+            x = _random_element(rng, r)
+            if not x.is_zero():
+                assert x * x.inverse() == 1
+
+
+def _shift_first(values: list[int], p: int) -> list[int]:
+    return [(values[0] + 1) % p] + values[1:]
+
+
+def _residues_of_double(values: list[int], p: int) -> list[int]:
+    return [2 * v % p for v in values]
+
+
+@pytest.mark.parametrize("corrupt", [_shift_first, _residues_of_double])
+def test_corrupted_residues_raise_past_height_bound(corrupt, monkeypatch):
+    # A shifted residue matches no element; the residues of 2x give the
+    # exact inverse of 2x, which fails the check x * y == 1 at every prime.
+    # Either way the height bound ends the search after a few primes.
+    residues = cyclo._residues
+    primes = []
+
+    def corrupted(x, p, omega):
+        primes.append(p)
+        return corrupt(residues(x, p, omega), p)
+
+    monkeypatch.setattr(cyclo, "_residues", corrupted)
+    with pytest.raises(ArithmeticError, match="height bound"):
+        quantum_factorial(4, 7).inverse()
+    assert 0 < len(primes) < 40
 
 
 def test_full_quantum_integer_vanishes():

@@ -12,6 +12,7 @@ from quantum3 import statesum
 from quantum3.complex3 import (
     Coloring,
     Triangulation,
+    TriangulationError,
     admissible_triple,
     color_range,
     disjoint_union,
@@ -256,16 +257,6 @@ def test_tet_weight_symmetry_group():
                     upper[perm[p]] if p in flips else lower[perm[p]] for p in range(3)
                 )
                 assert _tet_weight(*(new_upper + new_lower), r) == base
-
-
-def test_weight_level_mismatch_raises():
-    c = Coloring(5, (0, 0, 0))
-    with pytest.raises(ValueError):
-        weight_edge(c, 0, r=7)
-    with pytest.raises(ValueError):
-        weight_face(c, (0, 1, 2), r=7)
-    with pytest.raises(ValueError):
-        weight_tet(c, (0, 1, 2, 0, 1, 2), r=7)
 
 
 def test_memoized_tet_weight_matches_unmemoized():
@@ -615,6 +606,35 @@ def test_validation_errors():
         tv_prime(t, 5, 3)
     with pytest.raises(ValueError):
         tv(t, 5, 1, method="symbolic")
+
+
+def test_state_sums_reject_pseudo_manifolds():
+    # Two 3-spheres sharing one vertex (as in test_complex3): every face
+    # is shared by two tetrahedra, but the vertex link is two 2-spheres.
+    label = list(combinations(range(5), 4))
+    t = Triangulation(label + [tuple(0 if v == 0 else v + 4 for v in q) for q in label])
+    for method in ("exact", "float"):
+        with pytest.raises(TriangulationError, match="vertex 0 link"):
+            tv(t, 3, 1, method=method)
+    with pytest.raises(TriangulationError, match="vertex 0 link"):
+        tv_prime(t, 5, 2)
+    assert t not in statesum._GRAND_CACHE
+
+
+def test_manifold_check_runs_once_per_triangulation(monkeypatch):
+    calls = []
+    check = Triangulation.manifold_defects
+
+    def counted(self):
+        calls.append(self)
+        return check(self)
+
+    monkeypatch.setattr(Triangulation, "manifold_defects", counted)
+    t = boundary_4_simplex()
+    tv(t, 3, 1)
+    tv(t, 4, 1, method="float")
+    tv_prime(t, 5, 2)
+    assert calls == [t]
 
 
 def test_result_fields():
