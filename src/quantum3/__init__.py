@@ -27,7 +27,6 @@ from quantum3.hempel import (
 from quantum3.seifert import (
     SeifertSymbol,
     UnitCertificate,
-    Vanishing,
     check_unit_criterion,
     dedekind_sum,
     euler_number,
@@ -49,7 +48,6 @@ __all__ = [
     "Triangulation",
     "TriangulationError",
     "UnitCertificate",
-    "Vanishing",
     "check_unit_criterion",
     "dedekind_sum",
     "disjoint_union",

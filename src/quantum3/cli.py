@@ -52,7 +52,7 @@ from .complex3 import (
 from .hempel import report, to_csv
 from .seifert import (
     SeifertSymbol,
-    Vanishing,
+    check_unit_criterion,
     dedekind_sum,
     tv_closed_form,
     tv_routed,
@@ -186,12 +186,8 @@ def _suite_hansen_vs_statesum(args: argparse.Namespace) -> list[Check]:
                 sym = SeifertSymbol(g, pairs)
                 ratio_sq = tv_seifert(sym, a)
                 closed = tv_closed_form(sym, 1)
-                ok = not isinstance(closed, Vanishing) and _close(
-                    ratio_sq, closed, args.tol
-                )
-                checks.append(
-                    (ok, f"({sym}) at r={a}: ratio {ratio_sq:.12g} vs closed form")
-                )
+                label = f"({sym}) at r={a}: ratio {ratio_sq:.12g} vs closed form"
+                checks.append((_close(ratio_sq, closed, args.tol), label))
     return checks
 
 
@@ -200,7 +196,7 @@ def _suite_vanishing(args: argparse.Namespace) -> list[Check]:
     checks = []
     for text, a in (("0; 5/1, 5/1, 5/-2", 5), ("0; 7/1, 7/1, 7/1, 7/-3", 7)):
         sym = SeifertSymbol.parse(text)
-        no_cert = isinstance(tv_closed_form(sym, 1), Vanishing)
+        no_cert = check_unit_criterion(sym) is None
         checks.append((no_cert, f"({sym}): no unit certificate"))
         for r in (a, 2 * a):
             value = tv_seifert(sym, r)

@@ -65,7 +65,9 @@ class Triangulation:
         tets: list[tuple[int, int, int, int]] = []
         for raw in tetrahedra:
             quad = tuple(raw)
-            if len(quad) != 4 or not all(isinstance(v, int) and v >= 0 for v in quad):
+            if len(quad) != 4 or not all(
+                isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in quad
+            ):
                 raise TriangulationError(f"tetrahedron must be 4 non-negative ints, got {raw!r}")
             if len(set(quad)) != 4:
                 raise TriangulationError(f"degenerate tetrahedron {raw!r}")
@@ -130,43 +132,36 @@ class Triangulation:
 
     def manifold_defects(self) -> list[str]:
         """Empty iff every edge link is a circle and every vertex link a sphere."""
-        defects: list[str] = []
-        for e_id, (u, v) in enumerate(self.edges):
-            tets_around = [t for t, quad in enumerate(self.tetrahedra) if u in quad and v in quad]
-            adj: dict[int, list[int]] = {t: [] for t in tets_around}
+
+        def connected(*cell: int) -> bool:
+            """Whether the tetrahedra containing cell form one piece when
+            glued along their faces that contain it."""
+            around = set(cell).issubset
+            adj = {t: [] for t, quad in enumerate(self.tetrahedra) if around(quad)}
             for f_id, (a, b) in enumerate(self.face_tets):
-                tri = self.faces[f_id]
-                if u in tri and v in tri:
+                if around(self.faces[f_id]):
                     adj[a].append(b)
                     adj[b].append(a)
-            seen = {tets_around[0]}
-            stack = [tets_around[0]]
+            start = next(iter(adj))
+            seen = {start}
+            stack = [start]
             while stack:
                 for nxt in adj[stack.pop()]:
                     if nxt not in seen:
                         seen.add(nxt)
                         stack.append(nxt)
-            if len(seen) != len(tets_around):
-                defects.append(f"edge {self.edges[e_id]} link is not a single circle")
+            return len(seen) == len(adj)
+
+        defects: list[str] = []
+        for edge in self.edges:
+            if not connected(*edge):
+                defects.append(f"edge {edge} link is not a single circle")
         for v in range(self.vertex_count):
             link_v = [e for e in self.edges if v in e]
             link_e = [f for f in self.faces if v in f]
             link_f = [t for t in self.tetrahedra if v in t]
             chi = len(link_v) - len(link_e) + len(link_f)
-            adj2: dict[tuple[int, ...], list[tuple[int, ...]]] = {t: [] for t in link_f}
-            for f_id, (a, b) in enumerate(self.face_tets):
-                if v in self.faces[f_id]:
-                    ta, tb = self.tetrahedra[a], self.tetrahedra[b]
-                    adj2[ta].append(tb)
-                    adj2[tb].append(ta)
-            seen2 = {link_f[0]}
-            stack2 = [link_f[0]]
-            while stack2:
-                for nxt in adj2[stack2.pop()]:
-                    if nxt not in seen2:
-                        seen2.add(nxt)
-                        stack2.append(nxt)
-            if chi != 2 or len(seen2) != len(link_f):
+            if chi != 2 or not connected(v):
                 defects.append(f"vertex {v} link is not a 2-sphere (chi={chi})")
         return defects
 

@@ -555,6 +555,18 @@ class _ResidueImage:
         return out
 
 
+def check_point(r: int, s: int, refined: bool = False) -> None:
+    """Raise ValueError unless (r, s) is an evaluation point of the level-r
+    invariants: r >= 3 and gcd(s, r) = 1, and for the refined invariant
+    also odd r and even s."""
+    if r < 3:
+        raise ValueError(f"level must satisfy r >= 3, got {r}")
+    if math.gcd(s, r) != 1:
+        raise ValueError(f"s={s} must be coprime to r={r}")
+    if refined and (r % 2 == 0 or s % 2):
+        raise ValueError(f"refined invariant requires odd r and even s, got r={r}, s={s}")
+
+
 def ev(x: CycloNum, s: int) -> complex:
     """Evaluate x at zeta = e^(i pi s/r); a ring homomorphism for gcd(s, r) = 1."""
     return x.evaluate(s)

@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cyclo import is_near_integer
 from .seifert import SeifertSymbol, euler_number, level_route, tv_routed
 
 INTEGRALITY_TOL = 1e-6
@@ -128,20 +129,21 @@ def is_trivial_pair(sym: SeifertSymbol, k: int) -> bool:
     return k % d in (1 % d, -1 % d)
 
 
-def _near_int(value: float) -> int | None:
-    nearest = round(value)
-    return int(nearest) if abs(value - nearest) <= INTEGRALITY_TOL else None
-
-
 def report(
     sym: SeifertSymbol, k: int, r_max: int, tol: float = 1e-8
 ) -> HempelReport:
     """Compare the invariants of the mapping torus and its k-th iterate
     for every level 3 <= r <= r_max, one row per computable (r, s,
     refined); levels with no implemented formula get an out-of-scope
-    marker row instead of being skipped."""
+    marker row instead of being skipped.  Two values are equal when they
+    differ by less than tol (1 + the larger modulus).
+
+    errors: ValueError when r_max < 3, tol is not a positive finite
+    number, or k is not coprime to the order."""
     if r_max < 3:
         raise ValueError(f"r_max must be at least 3, got {r_max}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     d = _order(sym)
     k_star = _inverse_mod(k, d)
     sym_b = iterate(sym, k)
@@ -169,8 +171,8 @@ def report(
                     value_a=va,
                     value_b=vb,
                     equal=abs(va - vb) < tol * (1 + max(abs(va), abs(vb))),
-                    int_a=_near_int(va) if flag_int else None,
-                    int_b=_near_int(vb) if flag_int else None,
+                    int_a=is_near_integer(va, INTEGRALITY_TOL) if flag_int else None,
+                    int_b=is_near_integer(vb, INTEGRALITY_TOL) if flag_int else None,
                     status=route,
                 )
             )

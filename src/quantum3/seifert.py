@@ -1,9 +1,15 @@
 """Seifert fibered spaces with orientable base and fibration: symbols and
 their equivalence moves, exact Dedekind sums, the quantum-invariant ratio
-formula, and closed forms / vanishing criteria for Turaev-Viro invariants
-of uniform-cone-order symbols.  level_route says which of these formulas
+formula, and the closed form of the Turaev-Viro invariants at level r = a
+with its vanishing criterion.  level_route says which of these formulas
 covers a level, and tv_routed evaluates it; the CLI and the Hempel
 report take every Seifert value from there.
+
+Each rule behind the route is decided in one function:
+_closed_form_order holds the closed-form hypotheses (one cone order
+a >= 3, n < a, sum b_j = 0); check_unit_criterion the exact vanishing
+(without a unit certificate every level divisible by a gives 0); and
+cyclo.check_point which (r, s, refined) are evaluation points.
 
 Conventions.  A symbol (g; (a_1,b_1), ..., (a_n,b_n)) has base genus
 g >= 0 and coprime pairs with a_j >= 1; the rational Euler number is
@@ -27,6 +33,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+
+from .cyclo import check_point
 
 
 @dataclass(frozen=True)
@@ -84,14 +92,6 @@ class UnitCertificate:
     nu: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Vanishing:
-    """Marker result: no unit certificate exists, so the invariant is 0
-    for every level divisible by the uniform cone order."""
-
-    reason: str = "no unit certificate"
-
-
 def euler_number(sym: SeifertSymbol) -> Fraction:
     """Rational Euler number -sum b_j/a_j of the fibration."""
     return -sum((Fraction(b, a) for a, b in sym.pairs), Fraction(0))
@@ -132,10 +132,6 @@ def dedekind_sum(b: int, a: int) -> Fraction:
 def _phase(frac: Fraction) -> complex:
     """e^{i pi frac} with the exact rational argument reduced mod 2."""
     return cmath.exp(1j * math.pi * float(frac % 2))
-
-
-def _inverse_mod(b: int, a: int) -> int:
-    return 0 if a == 1 else pow(b % a, -1, a)
 
 
 def _fiber_sum(roots: list[complex], a: int, c: int, r: int, gamma: int) -> complex:
@@ -190,7 +186,7 @@ def hansen_ratio(sym: SeifertSymbol, r: int) -> complex:
         raise ValueError(f"level must satisfy r >= 3, got {r}")
     e_num = euler_number(sym)
     n, g = sym.n, sym.g
-    z = _z_full(sym, r, [_inverse_mod(b, a) for a, b in sym.pairs])
+    z = _z_full(sym, r, [pow(b, -1, a) for a, b in sym.pairs])
     sgn = (e_num > 0) - (e_num < 0)
     ded = sum((dedekind_sum(b, a) for a, b in sym.pairs), Fraction(0))
     u_arg = (Fraction(3, 2 * r) - Fraction(3, 4)) * sgn + (e_num + 12 * ded) / (2 * r)
@@ -203,39 +199,42 @@ def tv_seifert(sym: SeifertSymbol, r: int) -> float:
     return abs(hansen_ratio(sym, r)) ** 2
 
 
-def _uniform_a(sym: SeifertSymbol, a: int | None) -> int:
-    if sym.pairs:
-        found = sym.pairs[0][0]
-        if any(aj != found for aj, _ in sym.pairs):
-            raise ValueError("requires a uniform cone order")
-        if a is not None and a != found:
-            raise ValueError(f"explicit a={a} conflicts with symbol cone order {found}")
-        a = found
-    elif a is None:
-        raise ValueError("symbol has no pairs; pass the cone order a explicitly")
-    if a < 3:
-        raise ValueError(f"requires cone order a >= 3, got {a}")
+def _closed_form_order(sym: SeifertSymbol, a: int | None = None) -> int | None:
+    """The cone order a when the closed-form hypotheses hold, else None.
+    The hypotheses: the pairs and the given a (when not None) share one
+    cone order a >= 3, n < a, and sum b_j = 0."""
+    orders = {aj for aj, _ in sym.pairs} | ({a} if a is not None else set())
+    if len(orders) != 1:
+        return None
+    (a,) = orders
+    if a < 3 or sym.n >= a or sum(b for _, b in sym.pairs) != 0:
+        return None
     return a
 
 
 def check_unit_criterion(sym: SeifertSymbol, a: int | None = None) -> UnitCertificate | None:
-    """Search for b* coprime to the uniform cone order a with
-    b* b_j = +-1 (mod a) for every j; None when no such unit exists.
-    Requires a > n >= 0 and sum b_j = 0."""
-    a = _uniform_a(sym, a)
-    if not a > sym.n:
-        raise ValueError(f"requires a > n, got a={a}, n={sym.n}")
-    if sum(b for _, b in sym.pairs) != 0:
-        raise ValueError("requires sum of b_j to vanish")
-    for bs in range(1, a):
-        if gcd(bs, a) != 1:
+    """Search for b* coprime to the cone order a with b* b_j = +-1 (mod a)
+    for every j; None when no such unit exists, and then every invariant
+    at a level divisible by a is 0.
+
+    errors: ValueError unless the closed-form hypotheses hold: one cone
+    order a >= 3, shared by the pairs and the given a (which a symbol with
+    no pairs needs), n < a and sum b_j = 0."""
+    order = _closed_form_order(sym, a)
+    if order is None:
+        raise ValueError(
+            f"({sym}) with a={a} fails the closed-form hypotheses: one cone order "
+            "a >= 3 (passed as a for a symbol with no pairs), n < a and sum b_j = 0"
+        )
+    for bs in range(1, order):
+        if gcd(bs, order) != 1:
             continue
         nu = []
         for _, b in sym.pairs:
-            v = (bs * b) % a
+            v = (bs * b) % order
             if v == 1:
                 nu.append(1)
-            elif v == a - 1:
+            elif v == order - 1:
                 nu.append(-1)
             else:
                 break
@@ -246,29 +245,28 @@ def check_unit_criterion(sym: SeifertSymbol, a: int | None = None) -> UnitCertif
 
 def tv_closed_form(
     sym: SeifertSymbol, s: int, refined: bool = False, a: int | None = None
-) -> float | Vanishing:
-    """TV_{a,s} (or TV'_{a,s} when refined) of a uniform-cone-order
-    symbol satisfying a > n >= 0 and sum b_j = 0.
+) -> float:
+    """TV_{a,s} (or TV'_{a,s} when refined) of a symbol that meets the
+    closed-form hypotheses of check_unit_criterion (one cone order a >= 3,
+    n < a, sum b_j = 0); a symbol with no pairs needs a.  The value is
+    exactly 0.0 when no unit certificate exists.
 
     For n >= 1 this is the unit-certificate formula
     a^{n+2g-2} / 2^{2n+2g-4} / sin^{2n+4g-4}(pi b* s / a), with
-    denominator exponent 2n+4g-4 in the refined case; Vanishing when no
-    certificate exists (then the invariant is 0 for every level
-    divisible by a).
+    denominator exponent 2n+4g-4 in the refined case.
 
     For n = 0 the symbol is Sigma_g x S^1 and the invariant is the square
     of the SU(2) Verlinde dimension
     V_g = (a/2)^{g-1} sum_{j=1}^{a-1} sin^{2-2g}(pi j s / a), which does
-    not depend on s coprime to a; the refined form is V_g^2 / 4^g.  The
-    cone order a must then be passed explicitly."""
-    a = _uniform_a(sym, a)
-    if gcd(s, a) != 1:
-        raise ValueError(f"s={s} must be coprime to a={a}")
-    if refined and (a % 2 == 0 or s % 2):
-        raise ValueError("refined form requires odd a and even s")
+    not depend on s coprime to a; the refined form is V_g^2 / 4^g.
+
+    errors: ValueError when the hypotheses fail or (a, s, refined) is not
+    an evaluation point (cyclo.check_point)."""
     cert = check_unit_criterion(sym, a)
+    a = _closed_form_order(sym, a)
+    check_point(a, s, refined)
     if cert is None:
-        return Vanishing()
+        return 0.0
     n, g = sym.n, sym.g
     if n == 0:
         # j s runs over the nonzero residues mod a; reducing it keeps the
@@ -282,24 +280,12 @@ def tv_closed_form(
     return a ** (n + 2 * g - 2) / 2 ** two_exp / sin_pow
 
 
-def _closed_form_order(sym: SeifertSymbol, r: int) -> int | None:
-    """The uniform cone order a when the closed-form hypotheses hold
-    (a >= 3, n < a, sum b_j = 0), else None; a symbol with no pairs
-    takes a = r."""
-    orders = {a for a, _ in sym.pairs} or {r}
-    if len(orders) != 1:
-        return None
-    (a,) = orders
-    if a < 3 or sym.n >= a or sum(b for _, b in sym.pairs) != 0:
-        return None
-    return a
-
-
 def level_route(sym: SeifertSymbol, r: int) -> str:
     """Which formula gives the invariants of the symbol at level r.
 
     - "vanishing": a divides r and no unit certificate exists, so every
-      value is 0 (a the closed-form cone order, see tv_closed_form);
+      value is 0 (a the closed-form cone order, see check_unit_criterion;
+      a symbol with no pairs takes a = r);
     - "closed_form": r = a and a certificate exists;
     - "ratio": r is coprime to every cone order (hansen_ratio);
     - "out_of_scope": no implemented formula, such as a proper multiple
@@ -307,7 +293,7 @@ def level_route(sym: SeifertSymbol, r: int) -> str:
       order."""
     if r < 3:
         raise ValueError(f"level must satisfy r >= 3, got {r}")
-    a = _closed_form_order(sym, r)
+    a = _closed_form_order(sym, None if sym.pairs else r)
     if a is not None and r % a == 0:
         if check_unit_criterion(sym, a) is None:
             return "vanishing"
@@ -321,26 +307,20 @@ def tv_routed(
     sym: SeifertSymbol, r: int, s: int = 1, refined: bool = False
 ) -> tuple[float, str]:
     """TV_{r,s} (TV'_{r,s} when refined) by the formula level_route picks,
-    with the route's name.
+    with the route's name.  The vanishing route gives the exact 0.0.
 
     The ratio gives s = +-1 (mod 2r) only; refined, it gives
     TV'_{r,s} = TV_{r,1} / TV_{3,1} with TV_{3,1} = 2^{2g} at
     s = r -+ 1 (mod 2r), for odd cone orders and zero Euler number.
 
-    errors: ValueError when r < 3, s is not coprime to r, a refined
-    invariant has even r or odd s, or no implemented formula covers
-    (r, s)."""
+    errors: ValueError when (r, s, refined) is not an evaluation point
+    (cyclo.check_point) or no implemented formula covers (r, s)."""
+    check_point(r, s, refined)
     route = level_route(sym, r)
-    if gcd(s, r) != 1:
-        raise ValueError(f"s={s} must be coprime to r={r}")
-    if refined and (r % 2 == 0 or s % 2):
-        raise ValueError(f"refined invariant requires odd r and even s, got r={r}, s={s}")
     if route == "vanishing":
         return 0.0, route
     if route == "closed_form":
-        value = tv_closed_form(sym, s, refined=refined, a=r)
-        assert not isinstance(value, Vanishing)
-        return value, route
+        return tv_closed_form(sym, s, refined=refined, a=r), route
     if route == "out_of_scope":
         raise ValueError(
             f"no implemented formula for ({sym}) at r={r}: the closed form covers "

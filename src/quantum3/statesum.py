@@ -51,6 +51,7 @@ from quantum3.cyclo import (
     _residues,
     _ResidueImage,
     _root_exponents,
+    check_point,
     quantum_factorial,
     quantum_int,
 )
@@ -365,8 +366,6 @@ def _residue_column(r: int, s_values: tuple[int, ...], p: int, omega: int):
 
 def _run_frontier_vector(
     sched: _Schedule,
-    r: int,
-    even_only: bool,
     s_values: tuple[int, ...],
     tables,
     row_limit: int,
@@ -380,13 +379,13 @@ def _run_frontier_vector(
     column per s: complex128 when modulus is None, else int64 residues
     mod the prime modulus < 2^31, reduced after every product and every
     sum so that no product passes int64.  Weights are read from tables
-    (see _vector_tables), and both domains run the same operations in
-    the same order.  The key holds the color index of every frontier
-    edge in that edge's bit slot (_Schedule.slot), so a digit is a shift
-    and a mask and a child key is (parent & kept slots) | (x << slot of
-    the new edge).  Parents stream through in slices, each color of a
-    slice becomes one sorted run, and the step ends with one merge
-    (_SortedAccumulator.flush).
+    (see _vector_tables), one edge-table row per color, and both domains
+    run the same operations in the same order.  The key holds the color
+    index of every frontier edge in that edge's bit slot
+    (_Schedule.slot), so a digit is a shift and a mask and a child key
+    is (parent & kept slots) | (x << slot of the new edge).  Parents
+    stream through in slices, each color of a slice becomes one sorted
+    run, and the step ends with one merge (_SortedAccumulator.flush).
 
     A merged frontier of more than row_limit rows is split by the key
     digit of one frontier edge, and each part is carried on from the next
@@ -401,15 +400,14 @@ def _run_frontier_vector(
     before a step whose counts could pass int64."""
     import numpy as np
 
-    colors = color_range(r, even_only)
-    nc = len(colors)
+    edge_tab, adm_flat, face_flat, tet_flat = tables
+    dtype = edge_tab.dtype
+    nc = len(edge_tab)
     bits = _key_bits(sched, nc)
     digit_mask = (1 << bits) - 1
     shift = {e: bits * q for e, q in sched.slot.items()}
     slice_rows = 2_000_000
     ns = len(s_values)
-    edge_tab, adm_flat, face_flat, tet_flat = tables
-    dtype = edge_tab.dtype
 
     def reduce(a) -> None:
         if modulus is not None:
@@ -601,16 +599,14 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
         tables = _vector_tables(
             np, rows, len(reps), np.complex128, lambda w: [w.evaluate(s) for s in reps]
         )
-        per_tri[key] = _run_frontier_vector(sched, r, even_only, reps, tables, row_limit)
+        per_tri[key] = _run_frontier_vector(sched, reps, tables, row_limit)
         return per_tri[key]
     edges, _, (_, face_rows), (_, tet_rows) = rows
     image = None
     for p, omega in _residue_primes(r):
         column = _residue_column(r, reps, p, omega)
         tables = _vector_tables(np, rows, len(reps), np.int64, column)
-        grands, count = _run_frontier_vector(
-            sched, r, even_only, reps, tables, row_limit, modulus=p
-        )
+        grands, count = _run_frontier_vector(sched, reps, tables, row_limit, modulus=p)
         if image is None:
             groups = [
                 (edges, len(t.edges)),
@@ -642,15 +638,7 @@ def _finish(raw: complex, r: int, s: int, refined: bool, count: int) -> StateSum
 def _state_sum(
     t: Triangulation, r: int, s: int, refined: bool, method: str
 ) -> StateSumResult:
-    if r < 3:
-        raise ValueError(f"level must satisfy r >= 3, got {r}")
-    if math.gcd(s, r) != 1:
-        raise ValueError(f"s={s} must be coprime to r={r}")
-    if refined:
-        if r % 2 == 0:
-            raise ValueError("refined invariant requires odd r")
-        if s % 2:
-            raise ValueError("refined invariant requires even s")
+    check_point(r, s, refined)
     if method not in ("exact", "float"):
         raise ValueError(f"unknown method {method!r}; use 'exact' or 'float'")
     grand, count = _grand_sum(t, r, refined, method == "exact")

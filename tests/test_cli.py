@@ -196,6 +196,17 @@ def test_hempel_csv_file_and_summary(tmp_path, capsys):
     assert len(text.strip().split("\n")) == summary["rows"] + 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_hempel_rejects_tolerances_that_flip_verdicts(tol, capsys):
+    code, out, err = run(
+        capsys, "hempel", "0; 5/1, 5/1, 5/-2", "--k", "2", "--r-max", "12",
+        "--tol", tol,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: tol must be a positive finite number")
+    assert err.count("\n") == 1
+
+
 def test_dedekind_json(capsys):
     code, out, _ = run(capsys, "dedekind", "1", "5")
     assert code == 0

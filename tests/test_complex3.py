@@ -84,6 +84,13 @@ def test_loader_rejects_bad_input():
         Triangulation([[0, 1, 2, 3], [3, 2, 1, 0]])
     with pytest.raises(TriangulationError, match="consecutive"):
         Triangulation([(v + 1 for v in t) for t in combinations(range(5), 4)])
+    # JSON booleans are ints to Python (false == 0, true == 1) but not
+    # vertex ids; this boundary of the 4-simplex would otherwise load.
+    tets = [[bool(v) if v < 2 else v for v in t] for t in combinations(range(5), 4)]
+    text = json.dumps({"tetrahedra": tets})
+    assert "false" in text and "true" in text
+    with pytest.raises(TriangulationError, match="non-negative ints"):
+        load_triangulation(io.StringIO(text))
 
 
 def test_disjoint_union_components():

@@ -184,6 +184,15 @@ def test_report_validation():
         report(sym("0; 5/1, 5/1, 5/-2"), 2, 2)
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+def test_report_rejects_tolerances_that_flip_verdicts(tol):
+    # Rows compare by the strict |a - b| < tol (1 + max): at tol <= 0 or
+    # nan no row is ever equal, at inf every row is, so the order-5 pair
+    # would read distinguishable or any pair indistinguishable.
+    with pytest.raises(ValueError, match="tol"):
+        report(sym("0; 5/1, 5/1, 5/-2"), 2, 12, tol=tol)
+
+
 def test_csv_serialization():
     rep = report(sym("0; 5/1, 5/1, 5/-2"), 2, 6)
     text = to_csv(rep)

@@ -11,7 +11,6 @@ from quantum3.complex3 import load_asset
 from quantum3.seifert import (
     SeifertSymbol,
     UnitCertificate,
-    Vanishing,
     _z_full,
     check_unit_criterion,
     dedekind_sum,
@@ -258,7 +257,7 @@ def test_closed_form_examples():
     v2 = tv_closed_form(s7, 2)
     assert abs(v2 - 49 / 16 / math.sin(2 * math.pi / 7) ** 4) < 1e-10
     for s in (1, 2, 3):
-        assert isinstance(tv_closed_form(sym("0; 5/1, 5/1, 5/-2"), s), Vanishing)
+        assert tv_closed_form(sym("0; 5/1, 5/1, 5/-2"), s) == 0.0
     g1 = tv_closed_form(sym("1; 5/1, 5/-1"), 1)
     assert abs(g1 - 25 / 4 / math.sin(math.pi / 5) ** 4) < 1e-10
     assert abs(g1 - 52.36) < 5e-3
@@ -354,6 +353,49 @@ def test_level_route_examples():
     assert level_route(sym("0; 3/1, 3/1, 3/-2"), 3) == "out_of_scope"
     with pytest.raises(ValueError):
         level_route(s7, 2)
+
+
+def _hypotheses_grid() -> list[SeifertSymbol]:
+    """Uniform cone orders 2..9 with n from 1 to order + 1 and slope sums
+    zero and nonzero, mixed cone orders, and symbols with no pairs."""
+    symbols = [SeifertSymbol(g) for g in (0, 1, 2)]
+    for order in range(2, 10):
+        for n in range(1, order + 2):
+            for slopes in (
+                [1] * n,
+                [(-1) ** j for j in range(n)],
+                [1] * (n - 1) + [1 - n],
+                [2] * (n - 1) + [2 - 2 * n],
+            ):
+                if all(math.gcd(order, b) == 1 for b in slopes):
+                    symbols.append(SeifertSymbol(n % 2, tuple((order, b) for b in slopes)))
+        symbols.append(SeifertSymbol(0, ((order, 1), (order + 1, -1))))
+        symbols.append(SeifertSymbol(0, ((order, 1), (order, -1), (1, 0))))
+    return symbols
+
+
+def test_route_and_closed_form_agree_on_the_hypotheses():
+    # The closed form applies at level a exactly where the route is the
+    # closed form or the vanishing criterion, and it is 0.0 exactly on the
+    # vanishing route.  An a that differs from the symbol's cone order
+    # fails the hypotheses; at a = 2 both refuse the level.
+    def outcome(fn):
+        try:
+            return fn()
+        except ValueError:
+            return None
+
+    routes = set()
+    for symbol in _hypotheses_grid():
+        for a in range(2, 10):
+            route = outcome(lambda: level_route(symbol, a))
+            value = outcome(lambda: tv_closed_form(symbol, 1, a=a))
+            routes.add(route)
+            case = f"({symbol}) at a={a}: route {route}, closed form {value}"
+            assert (value is not None) == (route in ("closed_form", "vanishing")), case
+            if value is not None:
+                assert (value == 0.0) == (route == "vanishing"), case
+    assert routes == {None, "closed_form", "vanishing", "ratio", "out_of_scope"}
 
 
 def test_tv_prime_routes():

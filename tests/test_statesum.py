@@ -443,10 +443,10 @@ def test_exact_grand_sum_survives_frontier_splits(monkeypatch):
     real_sweep = statesum._run_frontier_vector
     sweeps = []
 
-    def recording_sweep(*args, **kwargs):
+    def recording_sweep(sched, s_values, tables, row_limit, **kwargs):
         peaks = []
-        sweeps.append((args[5], peaks))
-        return real_sweep(*args, peak_out=peaks, **kwargs)
+        sweeps.append((row_limit, peaks))
+        return real_sweep(sched, s_values, tables, row_limit, peak_out=peaks, **kwargs)
 
     monkeypatch.setattr(statesum, "_run_frontier_vector", recording_sweep)
     monkeypatch.setattr(statesum, "_GRAND_CACHE", WeakKeyDictionary())
@@ -568,12 +568,10 @@ def test_over_budget_sweep_splits_frontier(monkeypatch):
     for budget in (5_000_000, 500_000):
         sweeps = []
 
-        def recording_sweep(sched, r, even_only, s_values, tables, row_limit):
+        def recording_sweep(sched, s_values, tables, row_limit):
             peaks = []
             sweeps.append((row_limit, peaks))
-            return real_sweep(
-                sched, r, even_only, s_values, tables, row_limit, peak_out=peaks
-            )
+            return real_sweep(sched, s_values, tables, row_limit, peak_out=peaks)
 
         monkeypatch.setattr(statesum, "_run_frontier_vector", recording_sweep)
         monkeypatch.setattr(statesum, "_GRAND_CACHE", WeakKeyDictionary())
