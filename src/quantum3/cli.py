@@ -49,7 +49,7 @@ from .complex3 import (
     normal_surface_euler_parity,
     split_coloring,
 )
-from .hempel import report, to_csv
+from .hempel import check_tolerance, report, to_csv
 from .seifert import (
     SeifertSymbol,
     check_unit_criterion,
@@ -320,6 +320,7 @@ _SUITES: dict[str, Callable[[argparse.Namespace], list[Check]]] = {
 
 
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
+    check_tolerance(args.tol)
     checks = _SUITES[args.suite](args)
     failures = 0
     for ok, label in checks:

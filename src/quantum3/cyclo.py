@@ -12,7 +12,7 @@ simultaneously at every admissible s.
 
 For a prime p = 1 (mod 2r), M_r splits over F_p into deg M_r distinct
 linear factors, so an element is also determined by its residues at
-those roots.  _residues maps an element there; _ResidueImage maps the
+those roots.  _residues maps elements there; _ResidueImage maps the
 residues back by a Vandermonde solve, CRT over several primes and
 rational reconstruction, to the same canonical form.  The same maps give
 CycloNum.inverse: it inverts the residues, maps them back, and returns
@@ -236,7 +236,7 @@ class CycloNum:
         for p, omega in _residue_primes(r):
             if self._den % p == 0:
                 continue
-            values = _residues(self, p, omega)
+            values = _residues([self], p, omega)[0].tolist()
             if 0 in values:
                 continue
             candidate = image.add(p, omega, [pow(v, -1, p) for v in values])
@@ -438,17 +438,30 @@ def _interpolation_matrix(r: int, p: int, omega: int) -> tuple[tuple[int, ...], 
     return tuple(tuple(row[deg:]) for row in aug)
 
 
-def _residues(x: CycloNum, p: int, omega: int) -> list[int]:
-    """The images of x in F_p under zeta -> omega^s, for every s of
-    _root_exponents(x.r) in order; raises ArithmeticError when p divides
-    the denominator of x."""
-    if x._den % p == 0:
-        raise ArithmeticError(f"denominator of {x!r} vanishes mod {p}")
-    inv = pow(x._den, -1, p)
-    return [
-        sum(c * w for c, w in zip(x._num, row)) * inv % p
-        for row in _root_powers(x._r, p, omega)
-    ]
+def _residues(elements, p: int, omega: int):
+    """The images in F_p of a non-empty list of elements of one level
+    under zeta -> omega^s, as an int64 array with one row per element and
+    one column per s of _root_exponents(r) in order; raises
+    ArithmeticError when p divides the denominator of an element.
+
+    Numerators are reduced mod p < 2^31 and split into 16-bit halves, so
+    every product with a Vandermonde entry is below 2^47 and no dot
+    product of deg M_r < 2^16 of them passes int64."""
+    import numpy as np
+
+    invs = []
+    for x in elements:
+        if x._den % p == 0:
+            raise ArithmeticError(f"denominator of {x!r} vanishes mod {p}")
+        invs.append(pow(x._den, -1, p))
+    vander_t = np.array(_root_powers(elements[0]._r, p, omega), dtype=np.int64).T
+    nums = np.array([[c % p for c in x._num] for x in elements], dtype=np.int64)
+    high = (nums >> 16) @ vander_t % p
+    low = (nums & 0xFFFF) @ vander_t % p
+    out = ((high << 16) + low) % p
+    out *= np.array(invs, dtype=np.int64)[:, None]
+    out %= p
+    return out
 
 
 def _rational_reconstruct(u: int, m: int) -> Fraction | None:

@@ -129,6 +129,13 @@ def is_trivial_pair(sym: SeifertSymbol, k: int) -> bool:
     return k % d in (1 % d, -1 % d)
 
 
+def check_tolerance(tol: float) -> None:
+    """Raise ValueError unless tol is a positive finite number: an
+    infinite tolerance passes every comparison and a NaN fails every one."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
+
+
 def report(
     sym: SeifertSymbol, k: int, r_max: int, tol: float = 1e-8
 ) -> HempelReport:
@@ -142,8 +149,7 @@ def report(
     number, or k is not coprime to the order."""
     if r_max < 3:
         raise ValueError(f"r_max must be at least 3, got {r_max}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a positive finite number, got {tol}")
+    check_tolerance(tol)
     d = _order(sym)
     k_star = _inverse_mod(k, d)
     sym_b = iterate(sym, k)

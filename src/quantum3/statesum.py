@@ -17,8 +17,9 @@ frontier engine does this over int64 keys, with one value column per
 evaluation point, and one function (_grand_sum) with one cache serves
 both arithmetic domains.  It builds the weights once per grand sum and
 lays each domain's values out in the same dense face and tetrahedron
-tables.  The float path carries complex values at
-zeta = e^(i pi s/r).  The exact path carries int64 residues modulo
+tables.  The float path carries float64 values at zeta = e^(i pi s/r),
+where every weight is real: each table entry is checked once for a
+vanishing imaginary part.  The exact path carries int64 residues modulo
 primes p = 1 (mod 2r) at the roots of the coefficient ring mod p, one
 prime per sweep, and recovers the grand sum as one CycloNum by CRT and
 rational reconstruction (see cyclo._ResidueImage); it is evaluated once
@@ -60,7 +61,9 @@ from quantum3.cyclo import (
 @dataclass(frozen=True)
 class StateSumResult:
     """One evaluated invariant; value is the real part of raw after the
-    reality check |Im(raw)| < 1e-9 (1 + |raw|)."""
+    reality check |Im(raw)| < 1e-9 (1 + |raw|).  On the float path the
+    grand sum is a float64 sum of products of weight-table entries, each
+    of which passed the same check."""
 
     value: float
     raw: complex
@@ -326,15 +329,14 @@ def _vector_tables(np, rows, ns: int, dtype, column):
     _weight_rows, indexed by color-index digits: (edge_tab, face_adm,
     face_tab, tet_tab), with face_tab and tet_tab dense over the nc^3 and
     nc^6 digit tuples and zero where a tuple is inadmissible.  column maps
-    one weight to its ns values of the given dtype: complex values at
-    zeta = e^(i pi s/r), or residues (_residue_column)."""
+    a list of weights to one row of ns values of the given dtype per
+    weight: float64 values at zeta = e^(i pi s/r) (_float_column), or
+    residues (_residue_column); each checks every entry it makes."""
     edges, face_adm, faces, tets = rows
     nc = len(edges)
 
     def table(weights):
-        return np.array([column(w) for w in weights], dtype=dtype).reshape(
-            len(weights), ns
-        )
+        return np.asarray(column(weights), dtype=dtype).reshape(len(weights), ns)
 
     def dense(size, flat, weights):
         out = np.zeros((size, ns), dtype=dtype)
@@ -344,22 +346,45 @@ def _vector_tables(np, rows, ns: int, dtype, column):
     return table(edges), face_adm, dense(nc**3, *faces), dense(nc**6, *tets)
 
 
+def _float_column(s_values: tuple[int, ...]):
+    """Column function of the float tables: the value of each weight at
+    zeta = e^(i pi s/r) for each s in s_values, as float64.  Weights built
+    from quantum integers are real there, so every entry z is checked
+    once for |Im z| < 1e-9 (1 + |z|): a failure raises ArithmeticError
+    naming the weight and the s."""
+
+    def column(weights):
+        import numpy as np
+
+        z = np.array([[w.evaluate(s) for s in s_values] for w in weights])
+        unreal = np.abs(z.imag) >= 1e-9 * (1 + np.abs(z))
+        if unreal.any():
+            i, k = np.argwhere(unreal)[0]
+            raise ArithmeticError(
+                f"weight {weights[i]!r} is not real at s={s_values[k]}: {complex(z[i, k])!r}"
+            )
+        return np.ascontiguousarray(z.real)
+
+    return column
+
+
 def _residue_column(r: int, s_values: tuple[int, ...], p: int, omega: int):
-    """Column function of the residue tables: the residue mod p of a
+    """Column function of the residue tables: the residues mod p of each
     weight at zeta -> omega^s for each s in s_values (each in 1..r-1).
-    The residue at the conjugate root omega^(2r - s) is checked to be the
-    same, as it must be for weights built from quantum integers: a
-    failure raises ArithmeticError."""
+    Every weight's residues at the conjugate roots omega^(2r - s) are
+    checked to be the same, as they must be for weights built from
+    quantum integers: a failure raises ArithmeticError."""
     where = {s: k for k, s in enumerate(_root_exponents(r))}
     columns = [where[s] for s in s_values]
     conjugates = [where[2 * r - s] for s in s_values]
 
-    def column(w):
-        res = _residues(w, p, omega)
-        row = [res[k] for k in columns]
-        if row != [res[k] for k in conjugates]:
+    def column(weights):
+        res = _residues(weights, p, omega)
+        bent = (res[:, columns] != res[:, conjugates]).any(axis=1)
+        if bent.any():
+            w = weights[int(bent.argmax())]
             raise ArithmeticError(f"weight {w!r} is not fixed by zeta -> 1/zeta mod {p}")
-        return row
+        return res[:, columns]
 
     return column
 
@@ -376,16 +401,20 @@ def _run_frontier_vector(
     requested s and the coloring count.
 
     A state row is an int64 key, an int64 coloring count and one value
-    column per s: complex128 when modulus is None, else int64 residues
-    mod the prime modulus < 2^31, reduced after every product and every
-    sum so that no product passes int64.  Weights are read from tables
-    (see _vector_tables), one edge-table row per color, and both domains
-    run the same operations in the same order.  The key holds the color
+    column per s: float64 when modulus is None (the weights are real at
+    every s, see _float_column), else int64 residues mod the prime
+    modulus < 2^31, reduced after every product and every sum so that no
+    product passes int64.  Weights are read from tables (see
+    _vector_tables), one edge-table row per color, and both domains run
+    the same operations in the same order.  The key holds the color
     index of every frontier edge in that edge's bit slot
     (_Schedule.slot), so a digit is a shift and a mask and a child key
     is (parent & kept slots) | (x << slot of the new edge).  Parents
     stream through in slices, each color of a slice becomes one sorted
     run, and the step ends with one merge (_SortedAccumulator.flush).
+    Table indices are int32: each digit is extracted once per slice, and
+    a face or tetrahedron index is built in one array from the digits
+    (_grand_sum keeps nc^6 within int32).
 
     A merged frontier of more than row_limit rows is split by the key
     digit of one frontier edge, and each part is carried on from the next
@@ -451,14 +480,14 @@ def _run_frontier_vector(
                 digits: dict[int, object] = {}
 
                 def flat_base(check):
-                    out = 0
+                    out = np.zeros(len(sk), dtype=np.int32)
                     for eid in check:
+                        out *= nc
                         if eid == e:
-                            out = out * nc
                             continue
                         if eid not in digits:
-                            digits[eid] = (sk >> shift[eid]) & digit_mask
-                        out = out * nc + digits[eid]
+                            digits[eid] = ((sk >> shift[eid]) & digit_mask).astype(np.int32)
+                        out += digits[eid]
                     return out
 
                 face_base = [flat_base(f) for f in face_checks]
@@ -557,9 +586,10 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
     _MEMORY_BUDGET allows, and the engine splits any frontier that passes
     it.  The weight rows are built once and serve every sweep.
 
-    Float: one sweep carries every evaluation class as a complex column,
-    so the grand sum is a dict from each representative s (see
-    _coprime_representatives) to its complex value.
+    Float: one sweep carries every evaluation class as a float64 column
+    (_float_column checks every table entry for reality), so the grand
+    sum is a dict from each representative s (see
+    _coprime_representatives) to its real value.
 
     Exact: each sweep sums int64 residues modulo one prime p = 1 (mod 2r),
     with one column per root omega^s, s in 1..r-1 prime to r.  Every
@@ -571,7 +601,11 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
     sum is a sum of count products of one weight per edge, face and
     tetrahedron, which bounds its height (_height_bits), so a fault that
     makes the residues disagree raises ArithmeticError after finitely
-    many primes."""
+    many primes.
+
+    Table indices are int32, so more than 2^31 - 1 digit tuples of a
+    tetrahedron (nc^6 for nc colors) raise ValueError before any table
+    is built, as an unpackable frontier does."""
     per_tri = _GRAND_CACHE.get(t)
     if per_tri is None:
         defects = t.manifold_defects()
@@ -584,21 +618,25 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
     import numpy as np
 
     allowed = color_range(r, even_only)
+    nc = len(allowed)
     sched = _Schedule(t)
-    # An unpackable frontier fails here, before any table is built.
-    _key_bits(sched, len(allowed))
+    # An unpackable frontier or an unindexable table fails here, before
+    # any table is built.
+    _key_bits(sched, nc)
+    if nc**6 > 2**31 - 1:
+        raise ValueError(
+            f"tetrahedron table too large to index: {nc}^6 digit tuples pass int32"
+        )
     reps = _coprime_representatives(r, even_only and not exact)
     # A row is an int64 key, an int64 count and the value columns.  The
     # merge holds the runs, their concatenation and sorted copies at
     # once; safety is the measured peak bytes per byte of merged rows.
     safety = 2.6
-    value_bytes = (8 if exact else 16) * len(reps)
+    value_bytes = 8 * len(reps)
     row_limit = int(_MEMORY_BUDGET / ((16 + value_bytes) * safety))
     rows = _weight_rows(np, r, allowed)
     if not exact:
-        tables = _vector_tables(
-            np, rows, len(reps), np.complex128, lambda w: [w.evaluate(s) for s in reps]
-        )
+        tables = _vector_tables(np, rows, len(reps), np.float64, _float_column(reps))
         per_tri[key] = _run_frontier_vector(sched, reps, tables, row_limit)
         return per_tri[key]
     edges, _, (_, face_rows), (_, tet_rows) = rows
@@ -650,10 +688,7 @@ def _state_sum(
         # and 1.7e-14 on the sphere at r=3..7; integrality checks need "exact".
         pre = _prefactor(r, refined).evaluate(s) ** t.vertex_count
         s_norm = s % (2 * r)
-        if s_norm < r:
-            raw = pre * grand[s_norm]
-        else:
-            raw = pre * grand[2 * r - s_norm].conjugate()
+        raw = pre * grand[min(s_norm, 2 * r - s_norm)]
     return _finish(raw, r, s, refined, count)
 
 

@@ -232,6 +232,16 @@ def test_verify_splitting_suite(capsys):
     assert out.count("ok: ") == 4
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_verify_rejects_tolerances_that_decide_every_check(tol, capsys):
+    # An infinite tolerance would pass every suite whatever the program
+    # computes, and a NaN would fail every one.
+    code, out, err = run(capsys, "verify", "dedekind", "--tol", tol)
+    assert code == 1 and out == ""
+    assert err.startswith("error: tol must be a positive finite number")
+    assert err.count("\n") == 1
+
+
 def test_verify_reports_failures_with_exit_2(capsys):
     code, out, _ = run(capsys, "verify", "dedekind", "--tol", "1e-20")
     assert code == 2

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
@@ -138,12 +139,14 @@ def test_every_nonzero_element_inverts_at_even_r():
                 assert x * x.inverse() == 1
 
 
-def _shift_first(values: list[int], p: int) -> list[int]:
-    return [(values[0] + 1) % p] + values[1:]
+def _shift_first(values, p: int):
+    out = values.copy()
+    out[:, 0] = (out[:, 0] + 1) % p
+    return out
 
 
-def _residues_of_double(values: list[int], p: int) -> list[int]:
-    return [2 * v % p for v in values]
+def _residues_of_double(values, p: int):
+    return 2 * values % p
 
 
 @pytest.mark.parametrize("corrupt", [_shift_first, _residues_of_double])
@@ -154,9 +157,9 @@ def test_corrupted_residues_raise_past_height_bound(corrupt, monkeypatch):
     residues = cyclo._residues
     primes = []
 
-    def corrupted(x, p, omega):
+    def corrupted(elements, p, omega):
         primes.append(p)
-        return corrupt(residues(x, p, omega), p)
+        return corrupt(residues(elements, p, omega), p)
 
     monkeypatch.setattr(cyclo, "_residues", corrupted)
     with pytest.raises(ArithmeticError, match="height bound"):
@@ -286,10 +289,30 @@ def _certify(x: CycloNum) -> tuple[CycloNum, int]:
     """The element rebuilt from its residues, and how many primes it took."""
     image = _ResidueImage(x.r, _height_bits(x.r, [([x], 1)], 1))
     for used, (p, omega) in enumerate(_residue_primes(x.r), start=1):
-        got = image.add(p, omega, _residues(x, p, omega))
+        got = image.add(p, omega, _residues([x], p, omega)[0].tolist())
         if got is not None:
             return got, used
     raise AssertionError("primes ran out")
+
+
+def test_residues_match_scalar_dot_products():
+    # The reference is the plain dot product of the numerator with each
+    # Vandermonde row, in Python integers; the vectorized form must agree
+    # on numerators far past int64, of either sign, and on denominators.
+    rng = random.Random(2026)
+    for r in (3, 4, 7, 12):
+        elements = [
+            CycloNum(r, [rng.randint(-(1 << 100), 1 << 100) for _ in range(2 * r)], den)
+            for den in (1, 3, 1 << 70, 1)
+        ] + [quantum_factorial(r - 1, r), CycloNum.zero(r)]
+        for p, omega in islice(_residue_primes(r), 2):
+            vander = cyclo._root_powers(r, p, omega)
+            want = [
+                [sum(c * w for c, w in zip(x._num, row)) * pow(x._den, -1, p) % p for row in vander]
+                for x in elements
+            ]
+            got = _residues(elements, p, omega)
+            assert got.dtype.name == "int64" and got.tolist() == want
 
 
 def test_residue_primes_and_roots():

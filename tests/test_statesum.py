@@ -480,6 +480,21 @@ def test_residue_tables_reject_asymmetric_weights():
         statesum._vector_tables(np, bent, 2, np.int64, column)
 
 
+def test_float_tables_reject_unreal_weights():
+    # The float path carries real columns, which is sound only for
+    # weights that are real at every s; zeta is not.
+    import numpy as np
+
+    reps = (1, 2)
+    rows = statesum._weight_rows(np, 3, (0, 1))
+    tables = statesum._vector_tables(np, rows, 2, np.float64, statesum._float_column(reps))
+    assert all(tab.dtype == np.float64 for tab in (tables[0], tables[2], tables[3]))
+    edges, *rest = rows
+    bent = ([CycloNum.zeta_pow(3, 1)] + edges[1:], *rest)
+    with pytest.raises(ArithmeticError, match="not real at s=1"):
+        statesum._vector_tables(np, bent, 2, np.float64, statesum._float_column(reps))
+
+
 def test_weight_rows_built_once_per_exact_sum(monkeypatch):
     calls = {"_weight_rows": 0, "_vector_tables": 0, "_run_frontier_vector": 0}
 
@@ -543,6 +558,17 @@ def test_key_packing_limit_raises_before_tables(monkeypatch):
         tv(t, 10, 1, method="float")
     # The refined sum packs color indices: 5 even colors at r=11 fit.
     assert _key_bits(_Schedule(t), 5) == 3
+
+
+def test_int32_table_index_limit_raises_before_weights(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("weight rows built for an unindexable table")
+
+    monkeypatch.setattr(statesum, "_weight_rows", no_rows)
+    # 37 colors at r=38: 37^6 > 2^31 - 1 tetrahedron digit tuples, while
+    # the sphere's 9 slots of 6 bits still pack into a key.
+    with pytest.raises(ValueError, match="int32"):
+        tv(boundary_4_simplex(), 38, 1, method="float")
 
 
 def test_float_count_overflow_raises():
