@@ -13,6 +13,8 @@ Subcommands:
       no pairs, such as "0;", takes its cone order from R.
   hempel SYMBOL --k K --r-max N [--csv PATH] [--tol T]
       Distinguishability report for the pair (symbol, iterate(symbol, k)).
+      The symbol must present a periodic mapping torus: a nonzero Euler
+      number, or a k not coprime to the order, is a domain error.
       Without --csv the CSV goes to stdout and the verdict to stderr;
       with --csv the CSV goes to the file and a JSON summary to stdout.
   verify SUITE [--r R] [--file FILE] [--tol T] [--seed SEED]
@@ -49,6 +51,7 @@ from .complex3 import (
     normal_surface_euler_parity,
     split_coloring,
 )
+from .cyclo import evaluation_points
 from .hempel import check_tolerance, report, to_csv
 from .seifert import (
     SeifertSymbol,
@@ -147,9 +150,7 @@ def _suite_splitting(args: argparse.Namespace) -> list[Check]:
     v31 = tv(t, 3, 1, method="float").value
     v32 = tv(t, 3, 2, method="float").value
     checks = []
-    for s in range(1, r):
-        if math.gcd(s, r) != 1:
-            continue
+    for s in evaluation_points(r):
         full = tv(t, r, s, method="float").value
         if s % 2 == 0:
             product = v32 * tv_prime(t, r, s, method="float").value

@@ -25,6 +25,8 @@ from itertools import combinations
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
+from .cyclo import check_level
+
 
 class TriangulationError(ValueError):
     """Malformed or non-closed triangulation input."""
@@ -38,8 +40,7 @@ class Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        if self.level_r < 3:
-            raise ValueError(f"level must satisfy r >= 3, got {self.level_r}")
+        check_level(self.level_r)
         bad = [c for c in self.colors if not 0 <= c <= self.level_r - 2]
         if bad:
             raise ValueError(f"colors {bad[:3]} outside 0..{self.level_r - 2}")
@@ -232,8 +233,7 @@ def disjoint_union(a: Triangulation, b: Triangulation) -> Triangulation:
 
 def color_range(r: int, even_only: bool = False) -> tuple[int, ...]:
     """Allowed edge colors: 0..r-2, or the even ones only (refined, odd r)."""
-    if r < 3:
-        raise ValueError(f"level must satisfy r >= 3, got {r}")
+    check_level(r)
     if even_only:
         if r % 2 == 0:
             raise ValueError("even-color restriction requires odd r")

@@ -70,8 +70,7 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _ring_modulus(r: int) -> tuple[int, ...]:
     # Odd r keeps both the order-2r and order-r relations alive; see module docstring.
-    if r < 3:
-        raise ValueError(f"level must satisfy r >= 3, got {r}")
+    check_level(r)
     if r % 2:
         return tuple(_poly_mul(list(cyclotomic_poly(r)), list(cyclotomic_poly(2 * r))))
     return cyclotomic_poly(2 * r)
@@ -105,8 +104,6 @@ class CycloNum:
 
     def __init__(self, r: int, coeffs, den: int = 1):
         """Build the element sum coeffs[k] * zeta^k / den; exponents fold mod 2r."""
-        if r < 3:
-            raise ValueError(f"level must satisfy r >= 3, got {r}")
         modulus = _ring_modulus(r)
         folded = [0] * (2 * r)
         common = den
@@ -283,9 +280,8 @@ class CycloNum:
         return hash((self._r, self._num, self._den))
 
     def evaluate(self, s: int) -> complex:
-        """Numerical value with zeta = e^(i pi s/r); requires gcd(s, r) = 1."""
-        if math.gcd(s, self._r) != 1:
-            raise ValueError(f"s={s} is not coprime to r={self._r}")
+        """Numerical value with zeta = e^(i pi s/r); (r, s) must pass check_point."""
+        check_point(self._r, s)
         total = 0j
         for k, c in enumerate(self._num):
             if c:
@@ -568,16 +564,30 @@ class _ResidueImage:
         return out
 
 
-def check_point(r: int, s: int, refined: bool = False) -> None:
-    """Raise ValueError unless (r, s) is an evaluation point of the level-r
-    invariants: r >= 3 and gcd(s, r) = 1, and for the refined invariant
-    also odd r and even s."""
+def check_level(r: int) -> None:
+    """Raise ValueError unless r >= 3, the levels of the quantum theories."""
     if r < 3:
         raise ValueError(f"level must satisfy r >= 3, got {r}")
+
+
+def check_point(r: int, s: int, refined: bool = False) -> None:
+    """Raise ValueError unless (r, s) is an evaluation point of the level-r
+    invariants: r >= 3 (check_level) and gcd(s, r) = 1, and for the
+    refined invariant also odd r and even s."""
+    check_level(r)
     if math.gcd(s, r) != 1:
         raise ValueError(f"s={s} must be coprime to r={r}")
     if refined and (r % 2 == 0 or s % 2):
         raise ValueError(f"refined invariant requires odd r and even s, got r={r}, s={s}")
+
+
+def evaluation_points(r: int, refined: bool = False) -> tuple[int, ...]:
+    """The s in 1..r-1 that check_point admits; every point is congruent
+    mod 2r to one of them or to its conjugate 2r - s."""
+    check_level(r)
+    return tuple(
+        s for s in range(1, r) if math.gcd(s, r) == 1 and not (refined and (r % 2 == 0 or s % 2))
+    )
 
 
 def ev(x: CycloNum, s: int) -> complex:

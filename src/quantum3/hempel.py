@@ -14,11 +14,15 @@ symbol (g; (a_j, b_j k*)) where k k* == 1 (mod d); k* is normalized to
 the least positive inverse.  Two iterates give homeomorphic tori exactly
 when k == +-1 (mod d), so a pair (f, f^k) is "trivial" in that case.
 
+Each rule has one home: periodic_class (zero Euler number, order d) and
+_iterate_pair (k*, gcd(k, d) = 1, the iterate, triviality).  iterate,
+is_trivial_pair and report ask them, so each rejects a nonzero Euler number.
+
 report() compares the invariants of the two tori level by level, on the
 route that seifert.level_route picks for the level (both tori share it):
 
-- "vanishing" and "closed_form": one row per s coprime to r, plus a
-  refined row when r is odd and s even;
+- "vanishing" and "closed_form": one row per s of evaluation_points(r),
+  plus a refined row per s of evaluation_points(r, refined=True);
 - "ratio": the surgery-formula ratio gives the s = 1 value, which is an
   integer for mapping tori at levels coprime to the order, so the rows
   carry near-integer flags;
@@ -34,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import is_near_integer
+from .cyclo import evaluation_points, is_near_integer
 from .seifert import SeifertSymbol, euler_number, level_route, tv_routed
 
 INTEGRALITY_TOL = 1e-6
@@ -78,10 +82,6 @@ class HempelReport:
     verdict: str
 
 
-def _order(sym: SeifertSymbol) -> int:
-    return math.lcm(1, *(a for a, _ in sym.pairs))
-
-
 def periodic_class(sym: SeifertSymbol) -> PeriodicClass:
     """Interpret the symbol as a periodic mapping torus.
 
@@ -93,7 +93,7 @@ def periodic_class(sym: SeifertSymbol) -> PeriodicClass:
         raise ValueError(
             f"symbol {sym} has Euler number {euler_number(sym)}, expected 0"
         )
-    d = _order(sym)
+    d = math.lcm(1, *(a for a, _ in sym.pairs))
     genus = (
         1
         + (sym.g - 1) * d
@@ -104,29 +104,26 @@ def periodic_class(sym: SeifertSymbol) -> PeriodicClass:
     return PeriodicClass(symbol=sym, order_d=d, surface_genus=int(genus))
 
 
-def _inverse_mod(k: int, d: int) -> int:
-    """Least positive inverse of k modulo d (1 when d = 1)."""
-    if d == 1:
-        return 1
+def _iterate_pair(sym: SeifertSymbol, k: int) -> tuple[int, SeifertSymbol, bool]:
+    """(k*, iterate symbol, trivial): k* is the least positive inverse of k
+    modulo the order d of periodic_class(sym) (1 when d = 1), and the pair
+    is trivial when k = +-1 (mod d), that is, when k* is 1 or d - 1."""
+    d = periodic_class(sym).order_d
     if math.gcd(k, d) != 1:
         raise ValueError(f"k={k} is not coprime to the order d={d}")
-    return pow(k % d, -1, d)
+    k_star = pow(k, -1, d) if d > 1 else 1
+    sym_b = SeifertSymbol(sym.g, tuple((a, b * k_star) for a, b in sym.pairs))
+    return k_star, sym_b, k_star in (1, d - 1)
 
 
 def iterate(sym: SeifertSymbol, k: int) -> SeifertSymbol:
-    """Symbol of the mapping torus of the k-th iterate: slopes scale by
-    the inverse of k modulo the order."""
-    k_star = _inverse_mod(k, _order(sym))
-    return SeifertSymbol(sym.g, tuple((a, b * k_star) for a, b in sym.pairs))
+    """Symbol of the mapping torus of the k-th iterate: slopes scale by k*."""
+    return _iterate_pair(sym, k)[1]
 
 
 def is_trivial_pair(sym: SeifertSymbol, k: int) -> bool:
-    """True when the k-th iterate gives a homeomorphic mapping torus,
-    i.e. k is congruent to +-1 modulo the order."""
-    d = _order(sym)
-    if math.gcd(k, d) != 1:
-        raise ValueError(f"k={k} is not coprime to the order d={d}")
-    return k % d in (1 % d, -1 % d)
+    """True when the k-th iterate gives a homeomorphic mapping torus."""
+    return _iterate_pair(sym, k)[2]
 
 
 def check_tolerance(tol: float) -> None:
@@ -146,25 +143,21 @@ def report(
     differ by less than tol (1 + the larger modulus).
 
     errors: ValueError when r_max < 3, tol is not a positive finite
-    number, or k is not coprime to the order."""
+    number, the symbol has a nonzero Euler number (periodic_class), or k
+    is not coprime to the order."""
     if r_max < 3:
         raise ValueError(f"r_max must be at least 3, got {r_max}")
     check_tolerance(tol)
-    d = _order(sym)
-    k_star = _inverse_mod(k, d)
-    sym_b = iterate(sym, k)
+    k_star, sym_b, trivial = _iterate_pair(sym, k)
     rows: list[ReportRow] = []
     for r in range(3, r_max + 1):
         route = level_route(sym, r)
         if route == "out_of_scope":
             rows.append(ReportRow(r, None, None, None, None, None, None, None, route))
             continue
-        cells = [(1, False)] if route == "ratio" else [
-            (s, refined)
-            for s in range(1, r)
-            if math.gcd(s, r) == 1
-            for refined in ((False, True) if r % 2 == 1 and s % 2 == 0 else (False,))
-        ]
+        cells = [(1, False)] if route == "ratio" else sorted(
+            (s, refined) for refined in (False, True) for s in evaluation_points(r, refined)
+        )
         flag_int = route == "ratio"
         for s, refined in cells:
             va = tv_routed(sym, r, s, refined)[0]
@@ -183,14 +176,13 @@ def report(
                 )
             )
 
-    if is_trivial_pair(sym, k):
+    culprit = next((row for row in rows if row.equal is False), None)
+    if trivial:
         verdict = "trivial"
+    elif culprit is not None:
+        verdict = f"distinguishable({culprit.r},{culprit.s})"
     else:
-        culprit = next((row for row in rows if row.equal is False), None)
-        if culprit is not None:
-            verdict = f"distinguishable({culprit.r},{culprit.s})"
-        else:
-            verdict = f"indistinguishable_up_to({r_max})"
+        verdict = f"indistinguishable_up_to({r_max})"
     return HempelReport(
         symbol_a=sym,
         symbol_b=sym_b,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cyclo import check_point
+from .cyclo import check_level, check_point
 
 
 @dataclass(frozen=True)
@@ -151,9 +151,10 @@ def _z_full(sym: SeifertSymbol, r: int, b_star: list[int]) -> complex:
     triple sum.
 
     Fiber j's phases have integer numerators N over a r (see _fiber_sum
-    with c = b*_j), reduced exactly mod 2ar.  The root table holds
-    e^{i pi k/(ar)} as exponentiating the reduced Fraction would give it:
-    int and Fraction true division both round correctly.  N mod 2ar
+    with c = b*_j), reduced exactly mod 2ar, and the gamma phases are
+    gamma^2 E/(2r) mod 2 as ratios of ints.  The root table and the gamma
+    phases are what exponentiating the reduced Fractions would give: int
+    and Fraction true division both round a rational correctly.  N mod 2ar
     depends on b*_j only mod a, so each fiber sum is computed once per
     (a, b*_j mod a) and gamma."""
     e_num = euler_number(sym)
@@ -163,9 +164,10 @@ def _z_full(sym: SeifertSymbol, r: int, b_star: list[int]) -> complex:
         a: [cmath.exp(1j * math.pi * (k / (a * r))) for k in range(2 * a * r)]
         for a in {a for a, _ in keys}
     }
+    e_den = 2 * r * e_num.denominator
     total = 0j
     for gamma in range(1, r):
-        term = _phase(Fraction(gamma * gamma, 2 * r) * e_num)
+        term = cmath.exp(1j * math.pi * (gamma * gamma * e_num.numerator % (2 * e_den) / e_den))
         term *= math.sin(math.pi * gamma / r) ** (-sin_exp)
         fibers = {(a, c): _fiber_sum(roots[a], a, c, r, gamma) for a, c in set(keys)}
         for key in keys:
@@ -182,8 +184,7 @@ def hansen_ratio(sym: SeifertSymbol, r: int) -> complex:
     only mod a_j (see _z_full).  Only the squared modulus is
     orientation-independent, so consumers wanting an invariant should
     use tv_seifert."""
-    if r < 3:
-        raise ValueError(f"level must satisfy r >= 3, got {r}")
+    check_level(r)
     e_num = euler_number(sym)
     n, g = sym.n, sym.g
     z = _z_full(sym, r, [pow(b, -1, a) for a, b in sym.pairs])
@@ -291,8 +292,7 @@ def level_route(sym: SeifertSymbol, r: int) -> str:
     - "out_of_scope": no implemented formula, such as a proper multiple
       of a with a certificate, or a level sharing a factor with a cone
       order."""
-    if r < 3:
-        raise ValueError(f"level must satisfy r >= 3, got {r}")
+    check_level(r)
     a = _closed_form_order(sym, None if sym.pairs else r)
     if a is not None and r % a == 0:
         if check_unit_criterion(sym, a) is None:

@@ -29,7 +29,6 @@ per s.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -53,6 +52,7 @@ from quantum3.cyclo import (
     _ResidueImage,
     _root_exponents,
     check_point,
+    evaluation_points,
     quantum_factorial,
     quantum_int,
 )
@@ -61,9 +61,7 @@ from quantum3.cyclo import (
 @dataclass(frozen=True)
 class StateSumResult:
     """One evaluated invariant; value is the real part of raw after the
-    reality check |Im(raw)| < 1e-9 (1 + |raw|).  On the float path the
-    grand sum is a float64 sum of products of weight-table entries, each
-    of which passed the same check."""
+    reality check (_unreal), which every float weight-table entry passed."""
 
     value: float
     raw: complex
@@ -71,6 +69,11 @@ class StateSumResult:
     s: int
     refined: bool
     coloring_count: int
+
+
+def _unreal(z):
+    """The reality check, elementwise on arrays: |Im z| >= 1e-9 (1 + |z|)."""
+    return abs(z.imag) >= 1e-9 * (1 + abs(z))
 
 
 @lru_cache(maxsize=None)
@@ -191,15 +194,6 @@ class _Schedule:
                     free.append(self.slot_count)
                     self.slot_count += 1
                 self.slot[e] = heapq.heappop(free)
-
-
-def _coprime_representatives(r: int, even_only: bool) -> tuple[int, ...]:
-    """Representatives 1 <= s <= r-1 of the evaluation classes: every
-    admissible s is congruent mod 2r to some representative or to the
-    conjugate 2r - representative."""
-    return tuple(
-        s for s in range(1, r) if math.gcd(s, r) == 1 and (not even_only or s % 2 == 0)
-    )
 
 
 # Bytes a vector sweep may plan for; its row limit is sized against it.
@@ -349,15 +343,14 @@ def _vector_tables(np, rows, ns: int, dtype, column):
 def _float_column(s_values: tuple[int, ...]):
     """Column function of the float tables: the value of each weight at
     zeta = e^(i pi s/r) for each s in s_values, as float64.  Weights built
-    from quantum integers are real there, so every entry z is checked
-    once for |Im z| < 1e-9 (1 + |z|): a failure raises ArithmeticError
-    naming the weight and the s."""
+    from quantum integers are real there, so every entry is checked once
+    (_unreal); a failure raises ArithmeticError naming the weight and s."""
 
     def column(weights):
         import numpy as np
 
         z = np.array([[w.evaluate(s) for s in s_values] for w in weights])
-        unreal = np.abs(z.imag) >= 1e-9 * (1 + np.abs(z))
+        unreal = _unreal(z)
         if unreal.any():
             i, k = np.argwhere(unreal)[0]
             raise ArithmeticError(
@@ -442,6 +435,11 @@ def _run_frontier_vector(
         if modulus is not None:
             np.remainder(a, modulus, out=a)
 
+    def stride(check, e) -> int:
+        """The stride of new edge e in a check's table index base + x * stride:
+        the place values of every slot that e fills, summed."""
+        return sum(nc ** (len(check) - 1 - i) for i, eid in enumerate(check) if eid == e)
+
     def sweep(p0: int, frontier: list):
         """Grand-sum columns and coloring count of the rows in frontier,
         [keys, vals, cnts] after step p0 - 1, carried to the last step.
@@ -465,10 +463,8 @@ def _run_frontier_vector(
             new_shift = shift[e] if e in after else None
             face_checks = sched.face_checks[p]
             tet_checks = sched.tet_checks[p]
-            # The flat table index of a check is base + x * stride: base holds
-            # the digits of its older edges, stride places the new edge's.
-            face_strides = [nc ** (2 - f.index(e)) for f in face_checks]
-            tet_strides = [nc ** (5 - slots.index(e)) for slots in tet_checks]
+            face_strides = [stride(f, e) for f in face_checks]
+            tet_strides = [stride(slots, e) for slots in tet_checks]
             acc = _SortedAccumulator(np, ns, dtype, modulus)
             n_rows = len(keys)
             for lo in range(0, n_rows, slice_rows):
@@ -588,8 +584,8 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
 
     Float: one sweep carries every evaluation class as a float64 column
     (_float_column checks every table entry for reality), so the grand
-    sum is a dict from each representative s (see
-    _coprime_representatives) to its real value.
+    sum is a dict from each point s of cyclo.evaluation_points (the
+    refined ones when even_only) to its real value.
 
     Exact: each sweep sums int64 residues modulo one prime p = 1 (mod 2r),
     with one column per root omega^s, s in 1..r-1 prime to r.  Every
@@ -627,7 +623,7 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
         raise ValueError(
             f"tetrahedron table too large to index: {nc}^6 digit tuples pass int32"
         )
-    reps = _coprime_representatives(r, even_only and not exact)
+    reps = evaluation_points(r, even_only and not exact)
     # A row is an int64 key, an int64 count and the value columns.  The
     # merge holds the runs, their concatenation and sorted copies at
     # once; safety is the measured peak bytes per byte of merged rows.
@@ -666,7 +662,7 @@ def _prefactor(r: int, refined: bool) -> CycloNum:
 
 
 def _finish(raw: complex, r: int, s: int, refined: bool, count: int) -> StateSumResult:
-    if abs(raw.imag) >= 1e-9 * (1 + abs(raw)):
+    if _unreal(raw):
         raise ArithmeticError(f"state sum lost reality: {raw!r}")
     return StateSumResult(
         value=raw.real, raw=raw, r=r, s=s, refined=refined, coloring_count=count

@@ -207,6 +207,16 @@ def test_hempel_rejects_tolerances_that_flip_verdicts(tol, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text, r_max", [("0; 3/1, 3/1", "5"), ("0; 5/1, 5/1, 5/-1", "6")]
+)
+def test_hempel_rejects_nonzero_euler_number(text, r_max, capsys):
+    code, out, err = run(capsys, "hempel", text, "--k", "2", "--r-max", r_max)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: symbol {text} has Euler number")
+    assert err.count("\n") == 1
+
+
 def test_dedekind_json(capsys):
     code, out, _ = run(capsys, "dedekind", "1", "5")
     assert code == 0

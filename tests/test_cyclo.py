@@ -9,6 +9,7 @@ import mpmath
 import pytest
 
 from quantum3 import cyclo
+from quantum3.complex3 import Coloring, color_range, load_asset
 from quantum3.cyclo import (
     CycloNum,
     _height_bits,
@@ -18,12 +19,16 @@ from quantum3.cyclo import (
     _ResidueImage,
     _ring_modulus,
     _root_exponents,
+    check_point,
     cyclotomic_poly,
     ev,
+    evaluation_points,
     is_near_integer,
     quantum_factorial,
     quantum_int,
 )
+from quantum3.seifert import SeifertSymbol, hansen_ratio, level_route, tv_routed
+from quantum3.statesum import tv, tv_prime
 
 mpmath.mp.dps = 50
 
@@ -382,3 +387,37 @@ def test_disagreeing_residues_raise_past_height_bound():
     with pytest.raises(ArithmeticError, match="height bound"):
         for p, omega in _residue_primes(5):
             image.add(p, omega, [rng.randrange(p) for _ in _root_exponents(5)])
+
+
+_SPHERE_SYMBOL = SeifertSymbol.parse("0; 1/1")
+# Every entry point that takes a level, called at r = 2.
+_LEVEL_CALLS = {
+    "Coloring": lambda: Coloring(2, ()),
+    "color_range": lambda: color_range(2),
+    "CycloNum": lambda: CycloNum(2, (1,)),
+    "check_point": lambda: check_point(2, 1),
+    "hansen_ratio": lambda: hansen_ratio(_SPHERE_SYMBOL, 2),
+    "level_route": lambda: level_route(_SPHERE_SYMBOL, 2),
+    "tv_routed": lambda: tv_routed(_SPHERE_SYMBOL, 2),
+    "tv": lambda: tv(load_asset("s3_boundary4simplex"), 2, 1),
+    "tv_prime": lambda: tv_prime(load_asset("s3_boundary4simplex"), 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_LEVEL_CALLS))
+def test_every_level_check_is_check_level(name):
+    with pytest.raises(ValueError, match="level must satisfy r >= 3, got 2"):
+        _LEVEL_CALLS[name]()
+
+
+@pytest.mark.parametrize("refined", [False, True])
+def test_evaluation_points_are_what_check_point_admits(refined):
+    for r in range(3, 41):
+        admitted = []
+        for s in range(1, r):
+            try:
+                check_point(r, s, refined)
+            except ValueError:
+                continue
+            admitted.append(s)
+        assert evaluation_points(r, refined) == tuple(admitted), r

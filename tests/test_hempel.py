@@ -86,6 +86,18 @@ def test_trivial_pair_detection():
         is_trivial_pair(s7, 7)
 
 
+@pytest.mark.parametrize("text", ["0; 3/1, 3/1", "0; 5/1, 5/1, 5/-1"])
+def test_symbols_that_are_not_mapping_tori_are_rejected(text):
+    # Nonzero Euler numbers: these once gave a "trivial" verdict over
+    # unequal rows and a "distinguishable(6,1)" verdict.
+    with pytest.raises(ValueError, match="Euler number"):
+        report(sym(text), 2, 6)
+    with pytest.raises(ValueError, match="Euler number"):
+        iterate(sym(text), 2)
+    with pytest.raises(ValueError, match="Euler number"):
+        is_trivial_pair(sym(text), 2)
+
+
 def test_report_distinguishable_pair():
     rep = report(sym("0; 7/1, 7/1, 7/-1, 7/-1"), 2, 7)
     assert isinstance(rep, HempelReport)

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 from weakref import WeakKeyDictionary
 
 import pytest
@@ -23,7 +24,7 @@ from quantum3.complex3 import (
     normal_surface_euler_parity,
     split_coloring,
 )
-from quantum3.cyclo import CycloNum, _residue_primes
+from quantum3.cyclo import CycloNum, _residue_primes, evaluation_points
 from quantum3.statesum import (
     StateSumResult,
     _edge_weight,
@@ -609,6 +610,37 @@ def test_over_budget_sweep_splits_frontier(monkeypatch):
             assert abs(split[s].raw - direct[s].raw) <= 1e-12 * abs(direct[s].raw)
             assert split[s].coloring_count == direct[s].coloring_count
     assert 0 < splits[5_000_000] < splits[500_000]
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_engine_handles_an_edge_that_fills_two_slots(r):
+    # Merging two edge ids of the sphere makes one edge fill two slots of
+    # a face or a tetrahedron for some merges; the engine must place its
+    # digit at every slot it fills.  The oracle is the enumeration.
+    import numpy as np
+
+    t = load_asset("s3_boundary4simplex")
+    colors = color_range(r)
+    reps = evaluation_points(r)
+    rows = statesum._weight_rows(np, r, colors)
+    column = statesum._float_column(reps)
+    tables = statesum._vector_tables(np, rows, len(reps), np.float64, column)
+    for i, j in combinations(range(len(t.edges)), 2):
+
+        def merged(ids):
+            return tuple(i if e == j else e - (e > j) for e in ids)
+
+        m = SimpleNamespace(
+            edges=t.edges[:-1],
+            face_edges=tuple(merged(f) for f in t.face_edges),
+            tet_edges=tuple(merged(slots) for slots in t.tet_edges),
+        )
+        weights = [coloring_weight(m, c) for c in enumerate_admissible(m, r)]
+        grands, count = statesum._run_frontier_vector(_Schedule(m), reps, tables, 10**9)
+        assert count == len(weights), (i, j)
+        for s in reps:
+            want = sum(w.evaluate(s) for w in weights).real
+            assert abs(grands[s] - want) <= 1e-9 * (1 + abs(want)), (i, j, s)
 
 
 def test_repeated_calls_are_consistent():
