@@ -25,7 +25,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
-from .cyclo import check_level
+from .cyclo import check_level, evaluation_points
 
 
 class TriangulationError(ValueError):
@@ -232,13 +232,11 @@ def disjoint_union(a: Triangulation, b: Triangulation) -> Triangulation:
 
 
 def color_range(r: int, even_only: bool = False) -> tuple[int, ...]:
-    """Allowed edge colors: 0..r-2, or the even ones only (refined, odd r)."""
-    check_level(r)
-    if even_only:
-        if r % 2 == 0:
-            raise ValueError("even-color restriction requires odd r")
-        return tuple(range(0, r - 1, 2))
-    return tuple(range(r - 1))
+    """Allowed edge colors: 0..r-2, or the even ones only, at the levels
+    where the refined invariant has evaluation points (odd r)."""
+    if not evaluation_points(r, even_only):
+        raise ValueError(f"even-color restriction requires odd r, got r={r}")
+    return tuple(range(0, r - 1, 2 if even_only else 1))
 
 
 def admissible_triple(i: int, j: int, k: int, r: int) -> bool:

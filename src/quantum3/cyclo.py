@@ -570,24 +570,30 @@ def check_level(r: int) -> None:
         raise ValueError(f"level must satisfy r >= 3, got {r}")
 
 
+def _point_fault(r: int, s: int, refined: bool) -> str | None:
+    """Why (r, s) is no evaluation point at a level r >= 3, or None if it is."""
+    if math.gcd(s, r) != 1:
+        return f"s={s} must be coprime to r={r}"
+    if refined and (r % 2 == 0 or s % 2):
+        return f"refined invariant requires odd r and even s, got r={r}, s={s}"
+    return None
+
+
 def check_point(r: int, s: int, refined: bool = False) -> None:
     """Raise ValueError unless (r, s) is an evaluation point of the level-r
     invariants: r >= 3 (check_level) and gcd(s, r) = 1, and for the
-    refined invariant also odd r and even s."""
+    refined invariant also odd r and even s (_point_fault)."""
     check_level(r)
-    if math.gcd(s, r) != 1:
-        raise ValueError(f"s={s} must be coprime to r={r}")
-    if refined and (r % 2 == 0 or s % 2):
-        raise ValueError(f"refined invariant requires odd r and even s, got r={r}, s={s}")
+    if fault := _point_fault(r, s, refined):
+        raise ValueError(fault)
 
 
 def evaluation_points(r: int, refined: bool = False) -> tuple[int, ...]:
     """The s in 1..r-1 that check_point admits; every point is congruent
-    mod 2r to one of them or to its conjugate 2r - s."""
+    mod 2r to one of them or to its conjugate 2r - s.  Empty only for the
+    refined invariant at even r."""
     check_level(r)
-    return tuple(
-        s for s in range(1, r) if math.gcd(s, r) == 1 and not (refined and (r % 2 == 0 or s % 2))
-    )
+    return tuple(s for s in range(1, r) if _point_fault(r, s, refined) is None)
 
 
 def ev(x: CycloNum, s: int) -> complex:

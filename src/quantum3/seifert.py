@@ -22,7 +22,7 @@ Every phase exponent is an exact rational multiple of pi, reduced
 mod 2 before exponentiation, since the raw exponents grow like r * a^2
 and would otherwise lose precision.  The fiber sums keep it as an integer
 numerator N over a r, reduced mod 2ar and read from a table of roots of
-unity; the per-gamma Euler phase and the U_r phase stay Fractions.
+unity; the gamma Euler phase is a ratio of ints and the U_r phase a Fraction.
 """
 
 from __future__ import annotations

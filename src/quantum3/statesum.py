@@ -402,24 +402,26 @@ def _run_frontier_vector(
     the same operations in the same order.  The key holds the color
     index of every frontier edge in that edge's bit slot
     (_Schedule.slot), so a digit is a shift and a mask and a child key
-    is (parent & kept slots) | (x << slot of the new edge).  Parents
-    stream through in slices, each color of a slice becomes one sorted
-    run, and the step ends with one merge (_SortedAccumulator.flush).
-    Table indices are int32: each digit is extracted once per slice, and
-    a face or tetrahedron index is built in one array from the digits
-    (_grand_sum keeps nc^6 within int32).
+    is (parent & kept slots) | (x << slot of the new edge).  Each color
+    of the parents becomes one sorted run, and the step ends with one
+    merge (_SortedAccumulator.flush).  Table indices are int32: each
+    digit is extracted once per step, and a face or tetrahedron index is
+    built in one array from the digits (_grand_sum keeps nc^6 within
+    int32).
 
-    A merged frontier of more than row_limit rows is split by the key
-    digit of one frontier edge, and each part is carried on from the next
-    step, depth-first; the grand sums and counts of the parts add up to
-    those of the whole.  The split edge is the frontier edge that retires
-    last, ties going to the earliest assigned, among those whose digit is
-    not the same in every row: the parts then stay disjoint for as long
-    as possible.  Keys are unique, so a frontier of two or more rows has
-    such an edge, and a part still over the limit is split again on
-    another.  peak_out, when given, receives the live states after every
-    step of every part, in the order they run.  Raises ArithmeticError
-    before a step whose counts could pass int64."""
+    A step never builds more than row_limit rows.  A parent has at most
+    nc children, so two or more parents whose children could pass the
+    limit are split first by the key digit of one frontier edge, and
+    each part is carried on from the same step, depth-first; the sum is
+    linear in the parent rows, so the grand sums and counts of the parts
+    add up to those of the whole.  The split edge is the frontier edge
+    that retires last, ties going to the earliest assigned, among those
+    whose digit is not the same in every row: the parts then stay
+    disjoint for as long as possible.  Keys are unique, so two or more
+    parents have such an edge, and a part still over the limit is split
+    again on another.  peak_out, when given, receives the live states
+    after every step of every part, in the order they run.  Raises
+    ArithmeticError before a step whose counts could pass int64."""
     import numpy as np
 
     edge_tab, adm_flat, face_flat, tet_flat = tables
@@ -428,7 +430,6 @@ def _run_frontier_vector(
     bits = _key_bits(sched, nc)
     digit_mask = (1 << bits) - 1
     shift = {e: bits * q for e, q in sched.slot.items()}
-    slice_rows = 2_000_000
     ns = len(s_values)
 
     def reduce(a) -> None:
@@ -459,85 +460,9 @@ def _run_frontier_vector(
                     f"coloring count may pass int64 at step {p} "
                     f"({total} partial colorings times {nc} colors)"
                 )
-            keep = np.int64(sum(digit_mask << shift[x] for x in before if x in after))
-            new_shift = shift[e] if e in after else None
-            face_checks = sched.face_checks[p]
-            tet_checks = sched.tet_checks[p]
-            face_strides = [stride(f, e) for f in face_checks]
-            tet_strides = [stride(slots, e) for slots in tet_checks]
-            acc = _SortedAccumulator(np, ns, dtype, modulus)
-            n_rows = len(keys)
-            for lo in range(0, n_rows, slice_rows):
-                sl = slice(lo, lo + slice_rows)
-                sk, sv, sc = keys[sl], vals[sl], cnts[sl]
-                if lo + slice_rows >= n_rows:
-                    keys = vals = cnts = None
-                kept = sk & keep
-                digits: dict[int, object] = {}
-
-                def flat_base(check):
-                    out = np.zeros(len(sk), dtype=np.int32)
-                    for eid in check:
-                        out *= nc
-                        if eid == e:
-                            continue
-                        if eid not in digits:
-                            digits[eid] = ((sk >> shift[eid]) & digit_mask).astype(np.int32)
-                        out += digits[eid]
-                    return out
-
-                face_base = [flat_base(f) for f in face_checks]
-                tet_base = [flat_base(slots) for slots in tet_checks]
-                del digits
-                for x in range(nc):
-                    face_idx = [b + x * w for b, w in zip(face_base, face_strides)]
-                    mask = None
-                    for fi in face_idx:
-                        adm = adm_flat.take(fi)
-                        mask = adm if mask is None else mask & adm
-                    sel = None
-                    if mask is not None:
-                        sel = np.flatnonzero(mask)
-                        if not len(sel):
-                            continue
-                        if len(sel) == len(mask):
-                            sel = None
-
-                    def pick(a):
-                        return a if sel is None else a.take(sel, axis=0)
-
-                    # Factor order edge, faces, tets, parent value, which
-                    # fixes the float rounding; one gathered factor at a time,
-                    # each residue product reduced before the next.
-                    factors = chain(
-                        (face_flat.take(pick(fi), axis=0) for fi in face_idx),
-                        (
-                            tet_flat.take(pick(b) + x * w, axis=0)
-                            for b, w in zip(tet_base, tet_strides)
-                        ),
-                        (pick(sv),),
-                    )
-                    new_vals = next(factors) * edge_tab[x]
-                    for fac in factors:
-                        reduce(new_vals)
-                        new_vals *= fac
-                        del fac
-                    reduce(new_vals)
-                    del factors, face_idx
-                    child = pick(kept)
-                    if new_shift is not None:
-                        child = child | np.int64(x << new_shift)
-                    acc.add(child, new_vals, pick(sc))
-                    del child, new_vals
-                del sk, sv, sc, kept, face_base, tet_base
-            keys, vals, cnts = acc.flush()
-            if peak_out is not None:
-                peak_out.append(len(keys))
-            if not len(keys):
-                return np.zeros(ns, dtype=dtype), 0
-            if len(keys) > max(row_limit, 1):
+            if len(keys) > 1 and len(keys) * nc > row_limit:
                 for edge in sorted(
-                    after, key=lambda a: (-sched.last_use[a], sched.order.index(a))
+                    before, key=lambda a: (-sched.last_use[a], sched.order.index(a))
                 ):
                     digit = (keys >> shift[edge]) & digit_mask
                     if (digit != digit[0]).any():
@@ -546,17 +471,85 @@ def _run_frontier_vector(
                 for d in range(nc):
                     rows = np.flatnonzero(digit == d)
                     if len(rows):
-                        parts.append(
-                            [keys.take(rows), vals.take(rows, axis=0), cnts.take(rows)]
-                        )
+                        parts.append([keys.take(rows), vals.take(rows, axis=0), cnts.take(rows)])
                 del keys, vals, cnts, digit, rows
                 grand, count = np.zeros(ns, dtype=dtype), 0
                 while parts:
-                    part_grand, part_count = sweep(p + 1, parts.pop())
+                    part_grand, part_count = sweep(p, parts.pop())
                     grand += part_grand
                     reduce(grand)
                     count += part_count
                 return grand, count
+            keep = np.int64(sum(digit_mask << shift[x] for x in before if x in after))
+            new_shift = shift[e] if e in after else None
+            face_checks = sched.face_checks[p]
+            tet_checks = sched.tet_checks[p]
+            face_strides = [stride(f, e) for f in face_checks]
+            tet_strides = [stride(slots, e) for slots in tet_checks]
+            acc = _SortedAccumulator(np, ns, dtype, modulus)
+            kept = keys & keep
+            digits: dict[int, object] = {}
+
+            def flat_base(check):
+                out = np.zeros(len(keys), dtype=np.int32)
+                for eid in check:
+                    out *= nc
+                    if eid == e:
+                        continue
+                    if eid not in digits:
+                        digits[eid] = ((keys >> shift[eid]) & digit_mask).astype(np.int32)
+                    out += digits[eid]
+                return out
+
+            face_base = [flat_base(f) for f in face_checks]
+            tet_base = [flat_base(slots) for slots in tet_checks]
+            del digits
+            for x in range(nc):
+                face_idx = [b + x * w for b, w in zip(face_base, face_strides)]
+                mask = None
+                for fi in face_idx:
+                    adm = adm_flat.take(fi)
+                    mask = adm if mask is None else mask & adm
+                sel = None
+                if mask is not None:
+                    sel = np.flatnonzero(mask)
+                    if not len(sel):
+                        continue
+                    if len(sel) == len(mask):
+                        sel = None
+
+                def pick(a):
+                    return a if sel is None else a.take(sel, axis=0)
+
+                # Factor order edge, faces, tets, parent value, which
+                # fixes the float rounding; one gathered factor at a time,
+                # each residue product reduced before the next.
+                factors = chain(
+                    (face_flat.take(pick(fi), axis=0) for fi in face_idx),
+                    (
+                        tet_flat.take(pick(b) + x * w, axis=0)
+                        for b, w in zip(tet_base, tet_strides)
+                    ),
+                    (pick(vals),),
+                )
+                new_vals = next(factors) * edge_tab[x]
+                for fac in factors:
+                    reduce(new_vals)
+                    new_vals *= fac
+                    del fac
+                reduce(new_vals)
+                del factors, face_idx
+                child = pick(kept)
+                if new_shift is not None:
+                    child = child | np.int64(x << new_shift)
+                acc.add(child, new_vals, pick(cnts))
+                del child, new_vals
+            del keys, vals, cnts, kept, face_base, tet_base
+            keys, vals, cnts = acc.flush()
+            if peak_out is not None:
+                peak_out.append(len(keys))
+            if not len(keys):
+                return np.zeros(ns, dtype=dtype), 0
         return vals[0], int(cnts[0])
 
     grand, count = sweep(
@@ -578,9 +571,9 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
     (r, even_only, exact).  A triangulation is checked once, when the
     cache first sees it, to be a closed 3-manifold
     (Triangulation.manifold_defects); TriangulationError names its first
-    defect otherwise.  The sweeps run under the row limit that
-    _MEMORY_BUDGET allows, and the engine splits any frontier that passes
-    it.  The weight rows are built once and serve every sweep.
+    defect otherwise.  _MEMORY_BUDGET sizes one row limit, and no step of
+    any sweep builds more rows than that (_run_frontier_vector splits its
+    parents first).  The weight rows are built once and serve every sweep.
 
     Float: one sweep carries every evaluation class as a float64 column
     (_float_column checks every table entry for reality), so the grand
@@ -624,9 +617,10 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
             f"tetrahedron table too large to index: {nc}^6 digit tuples pass int32"
         )
     reps = evaluation_points(r, even_only and not exact)
-    # A row is an int64 key, an int64 count and the value columns.  The
-    # merge holds the runs, their concatenation and sorted copies at
-    # once; safety is the measured peak bytes per byte of merged rows.
+    # A row is an int64 key, an int64 count and the value columns.  safety
+    # bounds the peak bytes per byte of row_limit, measured on all-color
+    # float s2xs1 at 0.65 (r=6) and 0.92 (r=7) by the tracemalloc peak, and
+    # 0.76 and 1.12 by max RSS less the interpreter's footprint before it.
     safety = 2.6
     value_bytes = 8 * len(reps)
     row_limit = int(_MEMORY_BUDGET / ((16 + value_bytes) * safety))

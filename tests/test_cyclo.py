@@ -390,24 +390,32 @@ def test_disagreeing_residues_raise_past_height_bound():
 
 
 _SPHERE_SYMBOL = SeifertSymbol.parse("0; 1/1")
-# Every entry point that takes a level, called at r = 2.
+_LEVEL_ERROR = "level must satisfy r >= 3, got 2"
+# Every entry point that takes a level, called at a level it rejects, with
+# the error it must raise: r = 2 everywhere, and r = 4 for the even colors,
+# which exist only at the levels with refined evaluation points (odd r).
 _LEVEL_CALLS = {
-    "Coloring": lambda: Coloring(2, ()),
-    "color_range": lambda: color_range(2),
-    "CycloNum": lambda: CycloNum(2, (1,)),
-    "check_point": lambda: check_point(2, 1),
-    "hansen_ratio": lambda: hansen_ratio(_SPHERE_SYMBOL, 2),
-    "level_route": lambda: level_route(_SPHERE_SYMBOL, 2),
-    "tv_routed": lambda: tv_routed(_SPHERE_SYMBOL, 2),
-    "tv": lambda: tv(load_asset("s3_boundary4simplex"), 2, 1),
-    "tv_prime": lambda: tv_prime(load_asset("s3_boundary4simplex"), 2, 1),
+    "Coloring": (lambda: Coloring(2, ()), _LEVEL_ERROR),
+    "color_range": (lambda: color_range(2), _LEVEL_ERROR),
+    "CycloNum": (lambda: CycloNum(2, (1,)), _LEVEL_ERROR),
+    "check_point": (lambda: check_point(2, 1), _LEVEL_ERROR),
+    "hansen_ratio": (lambda: hansen_ratio(_SPHERE_SYMBOL, 2), _LEVEL_ERROR),
+    "level_route": (lambda: level_route(_SPHERE_SYMBOL, 2), _LEVEL_ERROR),
+    "tv_routed": (lambda: tv_routed(_SPHERE_SYMBOL, 2), _LEVEL_ERROR),
+    "tv": (lambda: tv(load_asset("s3_boundary4simplex"), 2, 1), _LEVEL_ERROR),
+    "tv_prime": (lambda: tv_prime(load_asset("s3_boundary4simplex"), 2, 1), _LEVEL_ERROR),
+    "color_range_even_only": (
+        lambda: color_range(4, even_only=True),
+        "even-color restriction requires odd r, got r=4",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(_LEVEL_CALLS))
 def test_every_level_check_is_check_level(name):
-    with pytest.raises(ValueError, match="level must satisfy r >= 3, got 2"):
-        _LEVEL_CALLS[name]()
+    call, error = _LEVEL_CALLS[name]
+    with pytest.raises(ValueError, match=error):
+        call()
 
 
 @pytest.mark.parametrize("refined", [False, True])

@@ -32,7 +32,9 @@ from quantum3.statesum import (
     _grand_sum,
     _key_bits,
     _prefactor,
+    _run_frontier_vector,
     _Schedule,
+    _SortedAccumulator,
     _tet_weight,
     coloring_weight,
     tv,
@@ -438,24 +440,51 @@ def test_exact_grand_sum_matches_dict_oracle(name, r, even_only):
     assert (grand._num, grand._den, count) == (want._num, want._den, want_count)
 
 
-def test_exact_grand_sum_survives_frontier_splits(monkeypatch):
-    t = load_asset("s2xs1")
-    want, want_count = dict_frontier_sum(_Schedule(t), 4, False)
-    real_sweep = statesum._run_frontier_vector
+def _recorded_sweeps(monkeypatch, budget: int) -> list:
+    """Run later sums afresh under budget and record each sweep as
+    (row_limit, steps, peaks, built): the schedule's step count, the live
+    states after every step of every part, and the rows that each step
+    passed to _SortedAccumulator.add."""
     sweeps = []
+
+    class RecordingAccumulator(_SortedAccumulator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sweeps[-1][3].append(0)
+
+        def add(self, keys, vals, cnts):
+            sweeps[-1][3][-1] += len(keys)
+            super().add(keys, vals, cnts)
 
     def recording_sweep(sched, s_values, tables, row_limit, **kwargs):
         peaks = []
-        sweeps.append((row_limit, peaks))
-        return real_sweep(sched, s_values, tables, row_limit, peak_out=peaks, **kwargs)
+        sweeps.append((row_limit, len(sched.order), peaks, []))
+        return _run_frontier_vector(
+            sched, s_values, tables, row_limit, peak_out=peaks, **kwargs
+        )
 
+    monkeypatch.setattr(statesum, "_SortedAccumulator", RecordingAccumulator)
     monkeypatch.setattr(statesum, "_run_frontier_vector", recording_sweep)
     monkeypatch.setattr(statesum, "_GRAND_CACHE", WeakKeyDictionary())
-    monkeypatch.setattr(statesum, "_MEMORY_BUDGET", 500_000)
+    monkeypatch.setattr(statesum, "_MEMORY_BUDGET", budget)
+    return sweeps
+
+
+def _assert_steps_within_limit(sweeps) -> None:
+    """No step built or kept more rows than its sweep's row limit."""
+    for row_limit, _, peaks, built in sweeps:
+        assert max(peaks) <= row_limit and max(built) <= row_limit
+
+
+def test_exact_grand_sum_survives_frontier_splits(monkeypatch):
+    t = load_asset("s2xs1")
+    want, want_count = dict_frontier_sum(_Schedule(t), 4, False)
+    sweeps = _recorded_sweeps(monkeypatch, 500_000)
     grand, count = _grand_sum(t, 4, False, True)
     assert (grand._num, grand._den, count) == (want._num, want._den, want_count)
-    # Every prime's sweep split its frontier.
-    assert sweeps and all(any(n > limit for n in peaks) for limit, peaks in sweeps)
+    # Every prime's sweep split its frontier: a part repeats steps.
+    assert sweeps and all(len(peaks) > steps for _, steps, peaks, _ in sweeps)
+    _assert_steps_within_limit(sweeps)
 
 
 def test_exact_s2xs1_at_r5_is_one():
@@ -588,24 +617,16 @@ def test_over_budget_sweep_splits_frontier(monkeypatch):
     reps = (1, 2, 3, 4)
     direct = {s: tv(t, 5, s, method="float") for s in reps}
 
-    real_sweep = statesum._run_frontier_vector
     splits = {}
     # The r=5 peak (206592 states) passes the row limit of either budget;
     # at 0.5 MB the parts of a split pass it again and are split anew.
     for budget in (5_000_000, 500_000):
-        sweeps = []
-
-        def recording_sweep(sched, s_values, tables, row_limit):
-            peaks = []
-            sweeps.append((row_limit, peaks))
-            return real_sweep(sched, s_values, tables, row_limit, peak_out=peaks)
-
-        monkeypatch.setattr(statesum, "_run_frontier_vector", recording_sweep)
-        monkeypatch.setattr(statesum, "_GRAND_CACHE", WeakKeyDictionary())
-        monkeypatch.setattr(statesum, "_MEMORY_BUDGET", budget)
+        sweeps = _recorded_sweeps(monkeypatch, budget)
         split = {s: tv(t, 5, s, method="float") for s in reps}
-        ((row_limit, peaks),) = sweeps
-        splits[budget] = sum(n > row_limit for n in peaks)
+        ((_, steps, peaks, _),) = sweeps
+        # Each part repeats the steps from its split on.
+        splits[budget] = len(peaks) - steps
+        _assert_steps_within_limit(sweeps)
         for s in reps:
             assert abs(split[s].raw - direct[s].raw) <= 1e-12 * abs(direct[s].raw)
             assert split[s].coloring_count == direct[s].coloring_count
