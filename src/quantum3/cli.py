@@ -52,7 +52,7 @@ from .complex3 import (
     split_coloring,
 )
 from .cyclo import evaluation_points
-from .hempel import check_tolerance, report, to_csv
+from .hempel import check_tolerance, is_close, report, to_csv
 from .seifert import (
     SeifertSymbol,
     check_unit_criterion,
@@ -137,10 +137,6 @@ def _cmd_dedekind(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _close(x: float, y: float, tol: float) -> bool:
-    return abs(x - y) <= tol * (1.0 + max(abs(x), abs(y)))
-
-
 def _suite_splitting(args: argparse.Namespace) -> list[Check]:
     """TV_{r,s} factors through TV_3 and the refined invariant."""
     if args.r % 2 == 0 or args.r < 5:
@@ -158,7 +154,7 @@ def _suite_splitting(args: argparse.Namespace) -> list[Check]:
         else:
             product = v31 * tv_prime(t, r, r - s, method="float").value
             label = f"TV_{{{r},{s}}} = TV_{{3,1}} * TV'_{{{r},{r - s}}}"
-        checks.append((_close(full, product, args.tol), f"{label}: {full:.12g}"))
+        checks.append((is_close(full, product, args.tol), f"{label}: {full:.12g}"))
     return checks
 
 
@@ -177,7 +173,7 @@ def _suite_hansen_vs_statesum(args: argparse.Namespace) -> list[Check]:
             ratio_sq = tv_seifert(sym, r)
             state = tv(t, r, 1, method="float").value
             label = f"({sym}) at r={r}: ratio {ratio_sq:.12g} vs state sum on {name} {state:.12g}"
-            checks.append((_close(ratio_sq, state, args.tol), label))
+            checks.append((is_close(ratio_sq, state, args.tol), label))
     for a in (5, 7):
         for g in (0, 1):
             for n in (2, 4):
@@ -188,7 +184,7 @@ def _suite_hansen_vs_statesum(args: argparse.Namespace) -> list[Check]:
                 ratio_sq = tv_seifert(sym, a)
                 closed = tv_closed_form(sym, 1)
                 label = f"({sym}) at r={a}: ratio {ratio_sq:.12g} vs closed form"
-                checks.append((_close(ratio_sq, closed, args.tol), label))
+                checks.append((is_close(ratio_sq, closed, args.tol), label))
     return checks
 
 
@@ -284,7 +280,7 @@ def _suite_hempel_examples(args: argparse.Namespace) -> list[Check]:
     )
     row = next(r for r in rep7.rows if r.r == 7 and r.s == 1 and not r.refined)
     expected = math.sin(2 * math.pi / 7) ** 4 / math.sin(math.pi / 7) ** 4
-    ratio_ok = row.value_b is not None and _close(
+    ratio_ok = row.value_b is not None and is_close(
         row.value_a / row.value_b, expected, args.tol
     )
     checks.append((ratio_ok, "order-7 values differ by the sine-ratio factor"))

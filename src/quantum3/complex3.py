@@ -1,6 +1,8 @@
 """Triangulated closed 3-manifolds and admissible edge colorings.
 
-A triangulation is a list of tetrahedra on consecutive vertex indices.
+A triangulation is a list of tetrahedra on consecutive vertex indices,
+checked on construction to be a closed 3-manifold: each face lies in two
+tetrahedra, each edge link is a circle and each vertex link a 2-sphere.
 Only the combinatorics needed by the state sum is kept: edges, triangular
 faces, and their incidences inside each tetrahedron.  Orientation is not
 tracked; every quantity computed downstream is orientation-independent.
@@ -21,7 +23,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -53,13 +55,14 @@ class Coloring:
 
 
 class Triangulation:
-    """An immutable closed triangulated 3-complex.
+    """An immutable closed triangulated 3-manifold.
 
     Pre-computes edge and face tables plus the per-tetrahedron slot maps
-    described in the module docstring.  The constructor rejects inputs
-    where some face is not shared by exactly two tetrahedra; stronger
-    manifold checks (vertex links are spheres, edge links are circles)
-    are available separately via manifold_defects().
+    described in the module docstring.  The constructor raises
+    TriangulationError unless every face is shared by exactly two
+    tetrahedra, every edge link is a circle and every vertex link a
+    2-sphere; a link defect is reported as "not a closed 3-manifold",
+    edges before vertices.
     """
 
     def __init__(self, tetrahedra: Iterable[Sequence[int]]):
@@ -88,86 +91,66 @@ class Triangulation:
         face_set = sorted({tri for t in tets for tri in combinations(t, 3)})
         self.edges: tuple[tuple[int, int], ...] = tuple(edge_set)
         self.faces: tuple[tuple[int, int, int], ...] = tuple(face_set)
-        self.edge_index: dict[tuple[int, int], int] = {e: i for i, e in enumerate(edge_set)}
-        self.face_index: dict[tuple[int, int, int], int] = {f: i for i, f in enumerate(face_set)}
+        ei = {e: i for i, e in enumerate(edge_set)}
+        fi = {f: i for i, f in enumerate(face_set)}
 
         self.face_edges: tuple[tuple[int, int, int], ...] = tuple(
-            (self.edge_index[(a, b)], self.edge_index[(a, c)], self.edge_index[(b, c)])
-            for (a, b, c) in face_set
+            (ei[(a, b)], ei[(a, c)], ei[(b, c)]) for (a, b, c) in face_set
         )
-        ei = self.edge_index
         self.tet_edges: tuple[tuple[int, ...], ...] = tuple(
             (ei[(v0, v1)], ei[(v0, v2)], ei[(v1, v2)], ei[(v2, v3)], ei[(v1, v3)], ei[(v0, v3)])
             for v0, v1, v2, v3 in tets
         )
 
-        face_tets: dict[int, list[int]] = {i: [] for i in range(len(face_set))}
+        face_tets: list[list[int]] = [[] for _ in face_set]
         for t_id, quad in enumerate(tets):
             for tri in combinations(quad, 3):
-                face_tets[self.face_index[tri]].append(t_id)
-        bad = [self.faces[f] for f, ts in face_tets.items() if len(ts) != 2]
+                face_tets[fi[tri]].append(t_id)
+        bad = [face_set[f] for f, ts in enumerate(face_tets) if len(ts) != 2]
         if bad:
             raise TriangulationError(f"not closed: faces {bad[:5]} not shared by exactly two tetrahedra")
-        self.face_tets: tuple[tuple[int, int], ...] = tuple(
-            tuple(face_tets[i]) for i in range(len(face_set))
-        )
+        self.face_tets: tuple[tuple[int, int], ...] = tuple(tuple(ts) for ts in face_tets)
 
-        parent = list(range(self.vertex_count))
+        for edge in edge_set:
+            if self._pieces(*edge) != 1:
+                raise TriangulationError(
+                    f"not a closed 3-manifold: edge {edge} link is not a single circle"
+                )
+        for v in range(self.vertex_count):
+            # A cell at v with k + 1 vertices gives a (k - 1)-cell of its link.
+            link_chi = sum((-1) ** len(c) for c in chain(edge_set, face_set, tets) if v in c)
+            if link_chi != 2 or self._pieces(v) != 1:
+                raise TriangulationError(
+                    f"not a closed 3-manifold: vertex {v} link is not a 2-sphere (chi={link_chi})"
+                )
+        self.component_count: int = self._pieces()
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for t in tets:
-            for v in t[1:]:
-                parent[find(v)] = find(t[0])
-        self.component_count: int = len({find(v) for v in range(self.vertex_count)})
+    def _pieces(self, *cell: int) -> int:
+        """How many pieces the tetrahedra containing cell form when glued
+        along their faces that contain it (all of them, for no cell)."""
+        around = set(cell).issubset
+        adj = {t: [] for t, quad in enumerate(self.tetrahedra) if around(quad)}
+        for face, (a, b) in zip(self.faces, self.face_tets):
+            if around(face):
+                adj[a].append(b)
+                adj[b].append(a)
+        unseen = set(adj)
+        pieces = 0
+        while unseen:
+            pieces += 1
+            stack = [unseen.pop()]
+            while stack:
+                for nxt in adj[stack.pop()]:
+                    if nxt in unseen:
+                        unseen.remove(nxt)
+                        stack.append(nxt)
+        return pieces
 
     @property
     def euler_characteristic(self) -> int:
         return (
             self.vertex_count - len(self.edges) + len(self.faces) - len(self.tetrahedra)
         )
-
-    def manifold_defects(self) -> list[str]:
-        """Empty iff every edge link is a circle and every vertex link a sphere."""
-
-        def connected(*cell: int) -> bool:
-            """Whether the tetrahedra containing cell form one piece when
-            glued along their faces that contain it."""
-            around = set(cell).issubset
-            adj = {t: [] for t, quad in enumerate(self.tetrahedra) if around(quad)}
-            for f_id, (a, b) in enumerate(self.face_tets):
-                if around(self.faces[f_id]):
-                    adj[a].append(b)
-                    adj[b].append(a)
-            start = next(iter(adj))
-            seen = {start}
-            stack = [start]
-            while stack:
-                for nxt in adj[stack.pop()]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            return len(seen) == len(adj)
-
-        defects: list[str] = []
-        for edge in self.edges:
-            if not connected(*edge):
-                defects.append(f"edge {edge} link is not a single circle")
-        for v in range(self.vertex_count):
-            link_v = [e for e in self.edges if v in e]
-            link_e = [f for f in self.faces if v in f]
-            link_f = [t for t in self.tetrahedra if v in t]
-            chi = len(link_v) - len(link_e) + len(link_f)
-            if chi != 2 or not connected(v):
-                defects.append(f"vertex {v} link is not a 2-sphere (chi={chi})")
-        return defects
-
-    def is_closed_manifold(self) -> bool:
-        return not self.manifold_defects()
 
     def to_json_dict(self) -> dict:
         return {"tetrahedra": [list(t) for t in self.tetrahedra]}

@@ -602,11 +602,13 @@ def ev(x: CycloNum, s: int) -> complex:
 
 
 def is_near_integer(z: complex, tol: float) -> int | None:
-    """The nearest integer when z sits within tol of one, else None."""
+    """The nearest integer when z sits within tol (1 + |z|) of one, else
+    None: the tolerance is relative for large z and absolute near 0."""
     z = complex(z)
-    if abs(z.imag) >= tol:
+    bound = tol * (1 + abs(z))
+    if abs(z.imag) >= bound:
         return None
     n = round(z.real)
-    if abs(z - n) < tol:
+    if abs(z - n) < bound:
         return int(n)
     return None

@@ -133,14 +133,20 @@ def check_tolerance(tol: float) -> None:
         raise ValueError(f"tol must be a positive finite number, got {tol}")
 
 
+def is_close(x: float, y: float, tol: float) -> bool:
+    """Whether x and y differ by at most tol (1 + the larger modulus):
+    the one closeness rule of report rows and the verify suites."""
+    return abs(x - y) <= tol * (1 + max(abs(x), abs(y)))
+
+
 def report(
     sym: SeifertSymbol, k: int, r_max: int, tol: float = 1e-8
 ) -> HempelReport:
     """Compare the invariants of the mapping torus and its k-th iterate
     for every level 3 <= r <= r_max, one row per computable (r, s,
     refined); levels with no implemented formula get an out-of-scope
-    marker row instead of being skipped.  Two values are equal when they
-    differ by less than tol (1 + the larger modulus).
+    marker row instead of being skipped.  Two values are equal when
+    is_close(value_a, value_b, tol).
 
     errors: ValueError when r_max < 3, tol is not a positive finite
     number, the symbol has a nonzero Euler number (periodic_class), or k
@@ -169,7 +175,7 @@ def report(
                     refined=refined,
                     value_a=va,
                     value_b=vb,
-                    equal=abs(va - vb) < tol * (1 + max(abs(va), abs(vb))),
+                    equal=is_close(va, vb, tol),
                     int_a=is_near_integer(va, INTEGRALITY_TOL) if flag_int else None,
                     int_b=is_near_integer(vb, INTEGRALITY_TOL) if flag_int else None,
                     status=route,

@@ -38,7 +38,6 @@ from weakref import WeakKeyDictionary
 from quantum3.complex3 import (
     Coloring,
     Triangulation,
-    TriangulationError,
     admissible_triple,
     color_range,
     greedy_edge_order,
@@ -568,12 +567,10 @@ _GRAND_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 
 def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
     """Grand sum and coloring count, cached per triangulation under
-    (r, even_only, exact).  A triangulation is checked once, when the
-    cache first sees it, to be a closed 3-manifold
-    (Triangulation.manifold_defects); TriangulationError names its first
-    defect otherwise.  _MEMORY_BUDGET sizes one row limit, and no step of
-    any sweep builds more rows than that (_run_frontier_vector splits its
-    parents first).  The weight rows are built once and serve every sweep.
+    (r, even_only, exact).  _MEMORY_BUDGET sizes one row limit, and no
+    step of any sweep builds more rows than that (_run_frontier_vector
+    splits its parents first).  The weight rows are built once and serve
+    every sweep.
 
     Float: one sweep carries every evaluation class as a float64 column
     (_float_column checks every table entry for reality), so the grand
@@ -595,12 +592,7 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
     Table indices are int32, so more than 2^31 - 1 digit tuples of a
     tetrahedron (nc^6 for nc colors) raise ValueError before any table
     is built, as an unpackable frontier does."""
-    per_tri = _GRAND_CACHE.get(t)
-    if per_tri is None:
-        defects = t.manifold_defects()
-        if defects:
-            raise TriangulationError(f"not a closed 3-manifold: {defects[0]}")
-        per_tri = _GRAND_CACHE[t] = {}
+    per_tri = _GRAND_CACHE.setdefault(t, {})
     key = (r, even_only, exact)
     if key in per_tri:
         return per_tri[key]

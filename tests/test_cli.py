@@ -268,7 +268,7 @@ def test_domain_errors_exit_1(capsys):
 
 
 def test_statesum_rejects_pseudo_manifold(tmp_path, capsys):
-    # Two 3-spheres sharing vertex 0, as in test_complex3.
+    # Two 3-spheres sharing vertex 0, as in test_complex3: rejected at load.
     label = [list(q) for q in combinations(range(5), 4)]
     pinched = label + [[0 if v == 0 else v + 4 for v in q] for q in label]
     path = tmp_path / "pinched.json"

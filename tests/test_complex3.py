@@ -65,7 +65,6 @@ def test_loader_boundary_4_simplex():
     assert len(t.tetrahedra) == 5
     assert t.component_count == 1
     assert t.euler_characteristic == 0
-    assert t.is_closed_manifold()
 
 
 def test_loader_rejects_open_complex():
@@ -98,25 +97,35 @@ def test_disjoint_union_components():
     u = disjoint_union(t, t)
     assert u.vertex_count == 10
     assert u.component_count == 2
-    assert u.is_closed_manifold()
 
 
 def test_pinched_complex_fails_manifold_check():
-    # Two 3-spheres sharing one vertex: closed, but the shared vertex link
-    # is a disjoint pair of 2-spheres.
+    # Two 3-spheres sharing one vertex: every face lies in two tetrahedra,
+    # but the shared vertex link is a disjoint pair of 2-spheres.
     label = list(combinations(range(5), 4))
     other = [tuple(0 if v == 0 else v + 4 for v in t) for t in label]
-    t = Triangulation(label + other)
-    assert t.component_count == 1
-    defects = t.manifold_defects()
-    assert any("vertex 0" in d for d in defects)
+    with pytest.raises(TriangulationError) as err:
+        Triangulation(label + other)
+    assert str(err.value) == "not a closed 3-manifold: vertex 0 link is not a 2-sphere (chi=4)"
+
+
+def test_shared_edge_complex_fails_edge_link_check():
+    # Two 3-spheres sharing the edge (0, 1): every face lies in two
+    # tetrahedra, but the edge link is two circles.  Edges are checked
+    # before vertices, so the edge is the defect named.
+    label = list(combinations(range(5), 4))
+    other = [tuple(v if v < 2 else v + 3 for v in t) for t in label]
+    with pytest.raises(TriangulationError) as err:
+        Triangulation(label + other)
+    assert str(err.value) == "not a closed 3-manifold: edge (0, 1) link is not a single circle"
 
 
 def test_s2xs1_asset_is_closed_manifold():
+    # Loading is the manifold check: a Triangulation has circle edge links
+    # and 2-sphere vertex links by construction.
     t = load_asset("s2xs1.json")
     assert t.euler_characteristic == 0
     assert t.component_count == 1
-    assert t.is_closed_manifold()
 
 
 def test_asset_dir_override(monkeypatch, tmp_path):

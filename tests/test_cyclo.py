@@ -279,6 +279,7 @@ def test_is_near_integer():
     assert is_near_integer(1 + 1e-3j, 1e-6) is None
     assert is_near_integer(-0.9999999999, 1e-6) == -1
     assert is_near_integer(0.0, 1e-12) == 0
+    assert is_near_integer(390457599.999999, 1e-6) == 390457600
 
 
 def _small_primes(limit: int) -> list[int]:

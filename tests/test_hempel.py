@@ -189,6 +189,15 @@ def test_report_out_of_scope_rows():
     assert covered == set(range(3, 15))
 
 
+def test_integrality_flags_are_relative_for_large_values():
+    # At r=19 the ratio is 390457599.999999: an integer to 3e-15 relative,
+    # but 1e-6 away from one in absolute terms.
+    rows = [row for row in report(sym("2; 3/1, 3/-1"), 2, 22).rows if row.status == "ratio"]
+    assert [row.r for row in rows] == [4, 5, 7, 8, 10, 11, 13, 14, 16, 17, 19, 20, 22]
+    for row in rows:
+        assert row.int_a == round(row.value_a) and row.int_b == round(row.value_b)
+
+
 def test_report_validation():
     with pytest.raises(ValueError):
         report(sym("0; 5/1, 5/1, 5/-2"), 5, 10)

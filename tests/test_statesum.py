@@ -688,30 +688,10 @@ def test_validation_errors():
 def test_state_sums_reject_pseudo_manifolds():
     # Two 3-spheres sharing one vertex (as in test_complex3): every face
     # is shared by two tetrahedra, but the vertex link is two 2-spheres.
+    # No Triangulation exists for it, so no state sum ever sees it.
     label = list(combinations(range(5), 4))
-    t = Triangulation(label + [tuple(0 if v == 0 else v + 4 for v in q) for q in label])
-    for method in ("exact", "float"):
-        with pytest.raises(TriangulationError, match="vertex 0 link"):
-            tv(t, 3, 1, method=method)
     with pytest.raises(TriangulationError, match="vertex 0 link"):
-        tv_prime(t, 5, 2)
-    assert t not in statesum._GRAND_CACHE
-
-
-def test_manifold_check_runs_once_per_triangulation(monkeypatch):
-    calls = []
-    check = Triangulation.manifold_defects
-
-    def counted(self):
-        calls.append(self)
-        return check(self)
-
-    monkeypatch.setattr(Triangulation, "manifold_defects", counted)
-    t = boundary_4_simplex()
-    tv(t, 3, 1)
-    tv(t, 4, 1, method="float")
-    tv_prime(t, 5, 2)
-    assert calls == [t]
+        Triangulation(label + [tuple(0 if v == 0 else v + 4 for v in q) for q in label])
 
 
 def test_result_fields():
