@@ -602,11 +602,14 @@ def ev(x: CycloNum, s: int) -> complex:
 
 
 def is_near_integer(z: complex, tol: float) -> int | None:
-    """The nearest integer when z sits within tol (1 + |z|) of one, else
-    None: the tolerance is relative for large z and absolute near 0."""
+    """The nearest integer when z sits within tol + 1e-12 |z| of one, else
+    None.  The relative term covers float rounding in large values (the
+    Hempel ratio rows of 1; 5/1, 5/-1 stay within 5.5e-14 relative up to
+    r = 250) without letting tol scale with |z|; once the bound reaches 1/2
+    no integer can be told apart, so the answer is None."""
     z = complex(z)
-    bound = tol * (1 + abs(z))
-    if abs(z.imag) >= bound:
+    bound = tol + 1e-12 * abs(z)
+    if bound >= 0.5 or abs(z.imag) >= bound:
         return None
     n = round(z.real)
     if abs(z - n) < bound:

@@ -280,6 +280,11 @@ def test_is_near_integer():
     assert is_near_integer(-0.9999999999, 1e-6) == -1
     assert is_near_integer(0.0, 1e-12) == 0
     assert is_near_integer(390457599.999999, 1e-6) == 390457600
+    # The relative term is float rounding, not tol: large non-integers stay None.
+    assert is_near_integer(1234567.3, 1e-6) is None
+    assert is_near_integer(1e6 + 0.5, 1e-6) is None
+    assert is_near_integer(390457599.9999 + 1e-3j, 1e-6) is None
+    assert is_near_integer(1e12 + 1e-3, 1e-6) is None
 
 
 def _small_primes(limit: int) -> list[int]:
