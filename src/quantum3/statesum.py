@@ -195,8 +195,14 @@ class _Schedule:
                 self.slot[e] = heapq.heappop(free)
 
 
-# Bytes a vector sweep may plan for; its row limit is sized against it.
-_MEMORY_BUDGET = 650_000_000
+# Bytes of the rows that one frontier step may build: the row limit of a
+# sweep is this over the bytes of one row.  It is sized to the step, not
+# to memory: small steps keep their gathers and sorts in cache.  On
+# all-color float s2xs1 at r=6, steps of 8, 16 and 32 MiB took 2.6 to
+# 3.0 s at 44, 53 and 70 MB max RSS (three alternating runs each on a
+# 2-core machine), against 3.9 s at 206 MB under the 650 MB memory
+# budget that it replaces (7.8M-row steps).
+_STEP_BYTES = 16 << 20
 
 
 def _key_bits(sched: _Schedule, n_colors: int) -> int:
@@ -411,16 +417,25 @@ def _run_frontier_vector(
     A step never builds more than row_limit rows.  A parent has at most
     nc children, so two or more parents whose children could pass the
     limit are split first by the key digit of one frontier edge, and
-    each part is carried on from the same step, depth-first; the sum is
-    linear in the parent rows, so the grand sums and counts of the parts
-    add up to those of the whole.  The split edge is the frontier edge
-    that retires last, ties going to the earliest assigned, among those
-    whose digit is not the same in every row: the parts then stay
-    disjoint for as long as possible.  Keys are unique, so two or more
-    parents have such an edge, and a part still over the limit is split
-    again on another.  peak_out, when given, receives the live states
-    after every step of every part, in the order they run.  Raises
-    ArithmeticError before a step whose counts could pass int64."""
+    each part is carried on from the same step, depth-first, through the
+    step where that edge retires (or the part's own last step, if
+    sooner).  There the parts' children can first share keys, so their
+    rows are concatenated and merged by one _sort_reduce, and the sweep
+    goes on from the next step with the merged frontier, split again if
+    it is still over the limit.  The sum is linear in the parent rows, so
+    the merged rows hold the same sums and counts as an unsplit sweep.
+    The split edge is the frontier edge that retires last, ties going to
+    the earliest assigned, among those whose digit is not the same in
+    every row: the parts then stay small for as long as possible.  Keys
+    are unique, so two or more parents have such an edge, and a part
+    still over the limit is split again on another.  A merged frontier is
+    not bounded by row_limit: it is the whole frontier after the
+    retirement step.  On all-color float s2xs1 at 16 MiB steps the
+    largest held 5 rows at r=6 and 921,984 at r=7 (against 262,144-row
+    limits).  peak_out, when given, receives the live states after every
+    step of every part, in the order they run, and no merged frontier.
+    Raises ArithmeticError before a step whose counts could pass int64,
+    and at a merge whose parts' counts sum past it."""
     import numpy as np
 
     edge_tab, adm_flat, face_flat, tet_flat = tables
@@ -440,13 +455,15 @@ def _run_frontier_vector(
         the place values of every slot that e fills, summed."""
         return sum(nc ** (len(check) - 1 - i) for i, eid in enumerate(check) if eid == e)
 
-    def sweep(p0: int, frontier: list):
-        """Grand-sum columns and coloring count of the rows in frontier,
-        [keys, vals, cnts] after step p0 - 1, carried to the last step.
-        frontier is emptied, so each array is freed once it is used."""
+    def sweep(p0: int, frontier: list, stop: int):
+        """The rows [keys, vals, cnts] of frontier, which hold the states
+        after step p0 - 1, carried through step stop: (keys, vals, cnts)
+        after it.  frontier is emptied, so each array is freed once it is
+        used."""
         keys, vals, cnts = frontier
         frontier.clear()
-        for p in range(p0, len(sched.order)):
+        p = p0
+        while p <= stop and len(keys):
             e = sched.order[p]
             before = sched.active_after[p - 1] if p else ()
             after = sched.active_after[p]
@@ -472,13 +489,31 @@ def _run_frontier_vector(
                     if len(rows):
                         parts.append([keys.take(rows), vals.take(rows, axis=0), cnts.take(rows)])
                 del keys, vals, cnts, digit, rows
-                grand, count = np.zeros(ns, dtype=dtype), 0
+                # The parts' children first share keys at the step where
+                # the split edge retires: merge them there.
+                q = min(sched.last_use[edge], stop)
+                key_runs, val_runs, cnt_runs = [], [], []
                 while parts:
-                    part_grand, part_count = sweep(p, parts.pop())
-                    grand += part_grand
-                    reduce(grand)
-                    count += part_count
-                return grand, count
+                    part_keys, part_vals, part_cnts = sweep(p, parts.pop(), q)
+                    key_runs.append(part_keys)
+                    val_runs.append(part_vals)
+                    cnt_runs.append(part_cnts)
+                    del part_keys, part_vals, part_cnts
+                total = sum(int(run.sum()) for run in cnt_runs)
+                if total >= 2**63:
+                    raise ArithmeticError(
+                        f"coloring count may pass int64 at step {q} "
+                        f"({total} partial colorings in {len(cnt_runs)} parts)"
+                    )
+                keys, vals, cnts = _sort_reduce(
+                    np,
+                    _drain(np, key_runs),
+                    _drain(np, val_runs),
+                    _drain(np, cnt_runs),
+                    modulus,
+                )
+                p = q + 1
+                continue
             keep = np.int64(sum(digit_mask << shift[x] for x in before if x in after))
             new_shift = shift[e] if e in after else None
             face_checks = sched.face_checks[p]
@@ -547,19 +582,21 @@ def _run_frontier_vector(
             keys, vals, cnts = acc.flush()
             if peak_out is not None:
                 peak_out.append(len(keys))
-            if not len(keys):
-                return np.zeros(ns, dtype=dtype), 0
-        return vals[0], int(cnts[0])
+            p += 1
+        return keys, vals, cnts
 
-    grand, count = sweep(
+    keys, vals, cnts = sweep(
         0,
         [
             np.zeros(1, dtype=np.int64),
             np.ones((1, ns), dtype=dtype),
             np.ones(1, dtype=np.int64),
         ],
+        len(sched.order) - 1,
     )
-    return dict(zip(s_values, grand.tolist())), count
+    if not len(keys):
+        vals, cnts = np.zeros((1, ns), dtype=dtype), [0]
+    return dict(zip(s_values, vals[0].tolist())), int(cnts[0])
 
 
 _GRAND_CACHE: WeakKeyDictionary = WeakKeyDictionary()
@@ -567,10 +604,11 @@ _GRAND_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 
 def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
     """Grand sum and coloring count, cached per triangulation under
-    (r, even_only, exact).  _MEMORY_BUDGET sizes one row limit, and no
-    step of any sweep builds more rows than that (_run_frontier_vector
-    splits its parents first).  The weight rows are built once and serve
-    every sweep.
+    (r, even_only, exact).  _STEP_BYTES sizes one row limit, and no step
+    of any sweep builds more rows than that (_run_frontier_vector splits
+    its parents first and merges the parts back where the split edge
+    retires; a merged frontier can hold more).  The weight rows are built
+    once and serve every sweep.
 
     Float: one sweep carries every evaluation class as a float64 column
     (_float_column checks every table entry for reality), so the grand
@@ -609,13 +647,8 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
             f"tetrahedron table too large to index: {nc}^6 digit tuples pass int32"
         )
     reps = evaluation_points(r, even_only and not exact)
-    # A row is an int64 key, an int64 count and the value columns.  safety
-    # bounds the peak bytes per byte of row_limit, measured on all-color
-    # float s2xs1 at 0.65 (r=6) and 0.92 (r=7) by the tracemalloc peak, and
-    # 0.76 and 1.12 by max RSS less the interpreter's footprint before it.
-    safety = 2.6
-    value_bytes = 8 * len(reps)
-    row_limit = int(_MEMORY_BUDGET / ((16 + value_bytes) * safety))
+    # A row is an int64 key, an int64 count and one 8-byte value column per s.
+    row_limit = _STEP_BYTES // (16 + 8 * len(reps))
     rows = _weight_rows(np, r, allowed)
     if not exact:
         tables = _vector_tables(np, rows, len(reps), np.float64, _float_column(reps))

@@ -440,11 +440,11 @@ def test_exact_grand_sum_matches_dict_oracle(name, r, even_only):
     assert (grand._num, grand._den, count) == (want._num, want._den, want_count)
 
 
-def _recorded_sweeps(monkeypatch, budget: int) -> list:
-    """Run later sums afresh under budget and record each sweep as
-    (row_limit, steps, peaks, built): the schedule's step count, the live
-    states after every step of every part, and the rows that each step
-    passed to _SortedAccumulator.add."""
+def _recorded_sweeps(monkeypatch, step_bytes: int) -> list:
+    """Run later sums afresh with steps of step_bytes and record each
+    sweep as (row_limit, steps, peaks, built): the schedule's step count,
+    the live states after every step of every part, and the rows that
+    each step passed to _SortedAccumulator.add."""
     sweeps = []
 
     class RecordingAccumulator(_SortedAccumulator):
@@ -466,7 +466,7 @@ def _recorded_sweeps(monkeypatch, budget: int) -> list:
     monkeypatch.setattr(statesum, "_SortedAccumulator", RecordingAccumulator)
     monkeypatch.setattr(statesum, "_run_frontier_vector", recording_sweep)
     monkeypatch.setattr(statesum, "_GRAND_CACHE", WeakKeyDictionary())
-    monkeypatch.setattr(statesum, "_MEMORY_BUDGET", budget)
+    monkeypatch.setattr(statesum, "_STEP_BYTES", step_bytes)
     return sweeps
 
 
@@ -479,7 +479,8 @@ def _assert_steps_within_limit(sweeps) -> None:
 def test_exact_grand_sum_survives_frontier_splits(monkeypatch):
     t = load_asset("s2xs1")
     want, want_count = dict_frontier_sum(_Schedule(t), 4, False)
-    sweeps = _recorded_sweeps(monkeypatch, 500_000)
+    # A row limit of 6250 splits every sweep, and some parts split again.
+    sweeps = _recorded_sweeps(monkeypatch, 200_000)
     grand, count = _grand_sum(t, 4, False, True)
     assert (grand._num, grand._den, count) == (want._num, want._den, want_count)
     # Every prime's sweep split its frontier: a part repeats steps.
@@ -618,19 +619,72 @@ def test_over_budget_sweep_splits_frontier(monkeypatch):
     direct = {s: tv(t, 5, s, method="float") for s in reps}
 
     splits = {}
-    # The r=5 peak (206592 states) passes the row limit of either budget;
-    # at 0.5 MB the parts of a split pass it again and are split anew.
-    for budget in (5_000_000, 500_000):
-        sweeps = _recorded_sweeps(monkeypatch, budget)
+    # The r=5 peak (206592 states) passes the row limit of either step
+    # size (41666 and 4166 rows), and at both the parts of a split pass it
+    # again and are split anew.
+    for step_bytes in (2_000_000, 200_000):
+        sweeps = _recorded_sweeps(monkeypatch, step_bytes)
         split = {s: tv(t, 5, s, method="float") for s in reps}
         ((_, steps, peaks, _),) = sweeps
-        # Each part repeats the steps from its split on.
-        splits[budget] = len(peaks) - steps
+        # Each part repeats the steps from its split to its merge.
+        splits[step_bytes] = len(peaks) - steps
         _assert_steps_within_limit(sweeps)
         for s in reps:
             assert abs(split[s].raw - direct[s].raw) <= 1e-12 * abs(direct[s].raw)
             assert split[s].coloring_count == direct[s].coloring_count
-    assert 0 < splits[5_000_000] < splits[500_000]
+    assert 0 < splits[2_000_000] < splits[200_000]
+
+
+def _float_sweep(t, r: int, row_limit: int):
+    """One all-color float sweep over t at row_limit: (grand sums, coloring
+    count, live states after every step of every part)."""
+    import numpy as np
+
+    reps = evaluation_points(r)
+    rows = statesum._weight_rows(np, r, color_range(r))
+    tables = statesum._vector_tables(
+        np, rows, len(reps), np.float64, statesum._float_column(reps)
+    )
+    peaks = []
+    grands, count = _run_frontier_vector(_Schedule(t), reps, tables, row_limit, peak_out=peaks)
+    return grands, count, peaks
+
+
+@pytest.mark.parametrize(
+    "name, r, row_limit", [("two spheres", 6, 200), ("s2xs1", 5, 4006)]
+)
+def test_split_parts_merge_back(name, r, row_limit):
+    # The parts of a split merge at the step where the split edge retires,
+    # so a tiny row limit builds about the rows of one unsplit sweep
+    # (16,604 and 1,752,841 here); parts carried on to the last step built
+    # 1.54M and 4.34M.
+    t = _grand_case(name)
+    whole, whole_count, whole_peaks = _float_sweep(t, r, 10**9)
+    split, split_count, split_peaks = _float_sweep(t, r, row_limit)
+    assert len(split_peaks) > len(whole_peaks) == len(_Schedule(t).order)
+    assert sum(split_peaks) <= 1.05 * sum(whole_peaks)
+    assert split_count == whole_count
+    for s, value in whole.items():
+        assert abs(split[s] - value) <= 1e-12 * abs(value)
+
+
+def test_count_guard_at_the_merge_of_split_parts():
+    # Edges in no face or tetrahedron retire at once and multiply every
+    # count by the 4 colors of r=5 in one row, so 27 of them and the
+    # sphere's 832 colorings pass int64.  Unsplit, the check before a step
+    # stops the sweep; at a row limit of 100 every part passes that check,
+    # and the parts' counts pass int64 only together, at their merge.
+    t = boundary_4_simplex()
+    k = 27
+    m = SimpleNamespace(
+        edges=[None] * k + list(t.edges),
+        face_edges=tuple(tuple(e + k for e in f) for f in t.face_edges),
+        tet_edges=tuple(tuple(e + k for e in slots) for slots in t.tet_edges),
+    )
+    with pytest.raises(ArithmeticError, match="int64 at step .* times 4 colors"):
+        _float_sweep(m, 5, 10**9)
+    with pytest.raises(ArithmeticError, match=r"int64 at step .* in \d+ parts"):
+        _float_sweep(m, 5, 100)
 
 
 @pytest.mark.parametrize("r", [4, 5])
