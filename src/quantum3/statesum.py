@@ -248,6 +248,30 @@ def _drain(np, chunks: list):
     return out
 
 
+def _merge(np, key_runs: list, val_runs: list, cnt_runs: list, modulus, step: int):
+    """The rows of the runs merged into one frontier by _sort_reduce; the
+    lists are emptied.
+
+    This is the engine's one count check.  Counts are never multiplied (a
+    child carries its parent's count), so they grow only where rows with
+    equal keys are summed: inside one color batch, bounded by the
+    parents' total that the last merge checked, and here.  So the runs'
+    counts are summed as Python ints first, and a total that passes int64
+    raises ArithmeticError naming the step."""
+    total = sum(int(run.sum()) for run in cnt_runs)
+    if total >= 2**63:
+        raise ArithmeticError(
+            f"coloring count passes int64 at step {step} ({total} partial colorings)"
+        )
+    return _sort_reduce(
+        np,
+        _drain(np, key_runs),
+        _drain(np, val_runs),
+        _drain(np, cnt_runs),
+        modulus,
+    )
+
+
 class _SortedAccumulator:
     """The transitions of one frontier step, merged once.
 
@@ -273,9 +297,9 @@ class _SortedAccumulator:
         self._vals.append(vals)
         self._cnts.append(cnts)
 
-    def flush(self):
+    def flush(self, step: int):
         """(keys, vals, cnts) of the step: sorted unique int64 keys, an
-        (n, ns) value array and int64 coloring counts."""
+        (n, ns) value array and int64 coloring counts (see _merge)."""
         np = self._np
         if not self._keys:
             return (
@@ -283,13 +307,7 @@ class _SortedAccumulator:
                 np.empty((0, self._ns), dtype=self._dtype),
                 np.empty(0, dtype=np.int64),
             )
-        return _sort_reduce(
-            np,
-            _drain(np, self._keys),
-            _drain(np, self._vals),
-            _drain(np, self._cnts),
-            self._modulus,
-        )
+        return _merge(np, self._keys, self._vals, self._cnts, self._modulus, step)
 
 
 def _weight_rows(np, r: int, colors: tuple[int, ...]):
@@ -323,26 +341,26 @@ def _weight_rows(np, r: int, colors: tuple[int, ...]):
     return edges, face_adm.ravel(), rows(face_adm, _face_weight), rows(tet_adm, _tet_weight)
 
 
-def _vector_tables(np, rows, ns: int, dtype, column):
+def _vector_tables(np, rows, column):
     """Lookup tables for the vector engine from the weight rows of
     _weight_rows, indexed by color-index digits: (edge_tab, face_adm,
     face_tab, tet_tab), with face_tab and tet_tab dense over the nc^3 and
     nc^6 digit tuples and zero where a tuple is inadmissible.  column maps
-    a list of weights to one row of ns values of the given dtype per
-    weight: float64 values at zeta = e^(i pi s/r) (_float_column), or
-    residues (_residue_column); each checks every entry it makes."""
+    a list of weights to an (n, ns) array, one row per weight: float64
+    values at zeta = e^(i pi s/r) (_float_column), or int64 residues
+    (_residue_column); each checks every entry it makes.  Its edge table
+    gives every table's ns and dtype (no weight list is empty: the
+    all-zero tuple is always admissible)."""
     edges, face_adm, faces, tets = rows
     nc = len(edges)
-
-    def table(weights):
-        return np.asarray(column(weights), dtype=dtype).reshape(len(weights), ns)
+    edge_tab = column(edges)
 
     def dense(size, flat, weights):
-        out = np.zeros((size, ns), dtype=dtype)
-        out[flat] = table(weights)
+        out = np.zeros((size, edge_tab.shape[1]), dtype=edge_tab.dtype)
+        out[flat] = column(weights)
         return out
 
-    return table(edges), face_adm, dense(nc**3, *faces), dense(nc**6, *tets)
+    return edge_tab, face_adm, dense(nc**3, *faces), dense(nc**6, *tets)
 
 
 def _float_column(s_values: tuple[int, ...]):
@@ -420,7 +438,7 @@ def _run_frontier_vector(
     each part is carried on from the same step, depth-first, through the
     step where that edge retires (or the part's own last step, if
     sooner).  There the parts' children can first share keys, so their
-    rows are concatenated and merged by one _sort_reduce, and the sweep
+    rows are concatenated and merged by _merge, and the sweep
     goes on from the next step with the merged frontier, split again if
     it is still over the limit.  The sum is linear in the parent rows, so
     the merged rows hold the same sums and counts as an unsplit sweep.
@@ -434,8 +452,8 @@ def _run_frontier_vector(
     largest held 5 rows at r=6 and 921,984 at r=7 (against 262,144-row
     limits).  peak_out, when given, receives the live states after every
     step of every part, in the order they run, and no merged frontier.
-    Raises ArithmeticError before a step whose counts could pass int64,
-    and at a merge whose parts' counts sum past it."""
+    Raises ArithmeticError at the first merge whose counts pass int64
+    (_merge holds the one exact count check)."""
     import numpy as np
 
     edge_tab, adm_flat, face_flat, tet_flat = tables
@@ -467,15 +485,6 @@ def _run_frontier_vector(
             e = sched.order[p]
             before = sched.active_after[p - 1] if p else ()
             after = sched.active_after[p]
-            # A child count sums parent counts, at most one per (parent,
-            # color) pair, so no child can exceed the parents' total count
-            # times the number of colors.
-            total = int(cnts.sum())
-            if total * nc >= 2**63:
-                raise ArithmeticError(
-                    f"coloring count may pass int64 at step {p} "
-                    f"({total} partial colorings times {nc} colors)"
-                )
             if len(keys) > 1 and len(keys) * nc > row_limit:
                 for edge in sorted(
                     before, key=lambda a: (-sched.last_use[a], sched.order.index(a))
@@ -499,19 +508,7 @@ def _run_frontier_vector(
                     val_runs.append(part_vals)
                     cnt_runs.append(part_cnts)
                     del part_keys, part_vals, part_cnts
-                total = sum(int(run.sum()) for run in cnt_runs)
-                if total >= 2**63:
-                    raise ArithmeticError(
-                        f"coloring count may pass int64 at step {q} "
-                        f"({total} partial colorings in {len(cnt_runs)} parts)"
-                    )
-                keys, vals, cnts = _sort_reduce(
-                    np,
-                    _drain(np, key_runs),
-                    _drain(np, val_runs),
-                    _drain(np, cnt_runs),
-                    modulus,
-                )
+                keys, vals, cnts = _merge(np, key_runs, val_runs, cnt_runs, modulus, q)
                 p = q + 1
                 continue
             keep = np.int64(sum(digit_mask << shift[x] for x in before if x in after))
@@ -579,7 +576,7 @@ def _run_frontier_vector(
                 acc.add(child, new_vals, pick(cnts))
                 del child, new_vals
             del keys, vals, cnts, kept, face_base, tet_base
-            keys, vals, cnts = acc.flush()
+            keys, vals, cnts = acc.flush(p)
             if peak_out is not None:
                 peak_out.append(len(keys))
             p += 1
@@ -594,9 +591,8 @@ def _run_frontier_vector(
         ],
         len(sched.order) - 1,
     )
-    if not len(keys):
-        vals, cnts = np.zeros((1, ns), dtype=dtype), [0]
-    return dict(zip(s_values, vals[0].tolist())), int(cnts[0])
+    # Every edge has retired after the last step, so at most one row is left.
+    return dict(zip(s_values, vals.sum(axis=0).tolist())), int(cnts.sum())
 
 
 _GRAND_CACHE: WeakKeyDictionary = WeakKeyDictionary()
@@ -629,7 +625,9 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
 
     Table indices are int32, so more than 2^31 - 1 digit tuples of a
     tetrahedron (nc^6 for nc colors) raise ValueError before any table
-    is built, as an unpackable frontier does."""
+    is built, as an unpackable frontier does.  Coloring counts are int64:
+    a sweep raises ArithmeticError at the first merge whose counts sum
+    past it, whatever the row limit (_merge holds the one exact check)."""
     per_tri = _GRAND_CACHE.setdefault(t, {})
     key = (r, even_only, exact)
     if key in per_tri:
@@ -651,14 +649,14 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
     row_limit = _STEP_BYTES // (16 + 8 * len(reps))
     rows = _weight_rows(np, r, allowed)
     if not exact:
-        tables = _vector_tables(np, rows, len(reps), np.float64, _float_column(reps))
+        tables = _vector_tables(np, rows, _float_column(reps))
         per_tri[key] = _run_frontier_vector(sched, reps, tables, row_limit)
         return per_tri[key]
     edges, _, (_, face_rows), (_, tet_rows) = rows
     image = None
     for p, omega in _residue_primes(r):
         column = _residue_column(r, reps, p, omega)
-        tables = _vector_tables(np, rows, len(reps), np.int64, column)
+        tables = _vector_tables(np, rows, column)
         grands, count = _run_frontier_vector(sched, reps, tables, row_limit, modulus=p)
         if image is None:
             groups = [

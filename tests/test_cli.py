@@ -14,7 +14,7 @@ import pytest
 
 from quantum3 import statesum
 from quantum3.cli import main
-from quantum3.complex3 import asset_dir
+from quantum3.complex3 import asset_dir, disjoint_union, load_asset
 from quantum3.hempel import report
 from quantum3.seifert import SeifertSymbol, tv_prime_seifert, tv_seifert
 
@@ -282,7 +282,7 @@ def test_statesum_rejects_pseudo_manifold(tmp_path, capsys):
 @pytest.mark.parametrize(
     "exc",
     [
-        MemoryError("frontier exceeded 60000000 states (60000001)"),
+        MemoryError("out of memory"),
         ArithmeticError("state sum lost reality: (1+1j)"),
     ],
 )
@@ -295,6 +295,31 @@ def test_engine_limits_exit_1(exc, monkeypatch, capsys):
     assert code == 1 and out == ""
     assert err == f"error: {exc}\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, r, text",
+    [
+        ("s2xs1", 10, "too wide to pack"),
+        ("s3_boundary4simplex", 38, "pass int32"),
+        ("five spheres", 7, "passes int64"),
+    ],
+)
+def test_real_engine_limits_exit_1(name, r, text, tmp_path, capsys):
+    # The engine's own limits, unpatched: 62-bit keys (18 slots of 4 bits
+    # at r=10), int32 table indices (37^6 digit tuples at r=38) and int64
+    # counts (16064^5 ~ 1.1e21 colorings of five disjoint spheres at r=7).
+    if name == "five spheres":
+        sphere = load_asset("s3_boundary4simplex")
+        five = sphere
+        for _ in range(4):
+            five = disjoint_union(five, sphere)
+        name = str(tmp_path / "five_spheres.json")
+        Path(name).write_text(json.dumps(five.to_json_dict()))
+    code, out, err = run(capsys, "statesum", name, "--r", str(r), "--method", "float")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and text in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_flag_errors_exit_1(capsys):

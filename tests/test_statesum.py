@@ -508,7 +508,7 @@ def test_residue_tables_reject_asymmetric_weights():
     p, omega = next(_residue_primes(3))
     column = statesum._residue_column(3, (1, 2), p, omega)
     with pytest.raises(ArithmeticError, match="not fixed"):
-        statesum._vector_tables(np, bent, 2, np.int64, column)
+        statesum._vector_tables(np, bent, column)
 
 
 def test_float_tables_reject_unreal_weights():
@@ -518,12 +518,12 @@ def test_float_tables_reject_unreal_weights():
 
     reps = (1, 2)
     rows = statesum._weight_rows(np, 3, (0, 1))
-    tables = statesum._vector_tables(np, rows, 2, np.float64, statesum._float_column(reps))
+    tables = statesum._vector_tables(np, rows, statesum._float_column(reps))
     assert all(tab.dtype == np.float64 for tab in (tables[0], tables[2], tables[3]))
     edges, *rest = rows
     bent = ([CycloNum.zeta_pow(3, 1)] + edges[1:], *rest)
     with pytest.raises(ArithmeticError, match="not real at s=1"):
-        statesum._vector_tables(np, bent, 2, np.float64, statesum._float_column(reps))
+        statesum._vector_tables(np, bent, statesum._float_column(reps))
 
 
 def test_weight_rows_built_once_per_exact_sum(monkeypatch):
@@ -642,9 +642,7 @@ def _float_sweep(t, r: int, row_limit: int):
 
     reps = evaluation_points(r)
     rows = statesum._weight_rows(np, r, color_range(r))
-    tables = statesum._vector_tables(
-        np, rows, len(reps), np.float64, statesum._float_column(reps)
-    )
+    tables = statesum._vector_tables(np, rows, statesum._float_column(reps))
     peaks = []
     grands, count = _run_frontier_vector(_Schedule(t), reps, tables, row_limit, peak_out=peaks)
     return grands, count, peaks
@@ -670,21 +668,31 @@ def test_split_parts_merge_back(name, r, row_limit):
 
 def test_count_guard_at_the_merge_of_split_parts():
     # Edges in no face or tetrahedron retire at once and multiply every
-    # count by the 4 colors of r=5 in one row, so 27 of them and the
-    # sphere's 832 colorings pass int64.  Unsplit, the check before a step
-    # stops the sweep; at a row limit of 100 every part passes that check,
-    # and the parts' counts pass int64 only together, at their merge.
+    # count by the 4 colors of r=5 in one row.  With the sphere's 832
+    # colorings, 26 of them give 4^26 * 832 ~ 0.41 * 2^63 colorings, which
+    # fit int64, and 27 give 1.6 * 2^63, which do not.  Whether a sum
+    # fits must not depend on the row limit: unsplit, the counts pass
+    # int64 at a step's merge of its color runs; at a row limit of 100,
+    # at the merge of a split's parts.
     t = boundary_4_simplex()
-    k = 27
-    m = SimpleNamespace(
-        edges=[None] * k + list(t.edges),
-        face_edges=tuple(tuple(e + k for e in f) for f in t.face_edges),
-        tet_edges=tuple(tuple(e + k for e in slots) for slots in t.tet_edges),
-    )
-    with pytest.raises(ArithmeticError, match="int64 at step .* times 4 colors"):
-        _float_sweep(m, 5, 10**9)
-    with pytest.raises(ArithmeticError, match=r"int64 at step .* in \d+ parts"):
-        _float_sweep(m, 5, 100)
+
+    def with_free_edges(k):
+        return SimpleNamespace(
+            edges=[None] * k + list(t.edges),
+            face_edges=tuple(tuple(e + k for e in f) for f in t.face_edges),
+            tet_edges=tuple(tuple(e + k for e in slots) for slots in t.tet_edges),
+        )
+
+    m = with_free_edges(26)
+    whole, whole_count, _ = _float_sweep(m, 5, 10**9)
+    split, split_count, _ = _float_sweep(m, 5, 100)
+    assert whole_count == split_count == 4**26 * 832
+    for s, value in whole.items():
+        assert abs(split[s] - value) <= 1e-12 * abs(value)
+    m = with_free_edges(27)
+    for row_limit in (10**9, 100):
+        with pytest.raises(ArithmeticError, match=r"passes int64 at step \d+"):
+            _float_sweep(m, 5, row_limit)
 
 
 @pytest.mark.parametrize("r", [4, 5])
@@ -699,7 +707,7 @@ def test_engine_handles_an_edge_that_fills_two_slots(r):
     reps = evaluation_points(r)
     rows = statesum._weight_rows(np, r, colors)
     column = statesum._float_column(reps)
-    tables = statesum._vector_tables(np, rows, len(reps), np.float64, column)
+    tables = statesum._vector_tables(np, rows, column)
     for i, j in combinations(range(len(t.edges)), 2):
 
         def merged(ids):
