@@ -16,8 +16,9 @@ the exponential stream to a frontier of active edges.  One vectorized
 frontier engine does this over int64 keys, with one value column per
 evaluation point, and one function (_grand_sum) with one cache serves
 both arithmetic domains.  It builds the weights once per grand sum and
-lays each domain's values out in the same dense face and tetrahedron
-tables.  The float path carries float64 values at zeta = e^(i pi s/r),
+lays each domain's values out in the same tables: dense over the face
+color triples, compact (one row per admissible color tuple) for the
+tetrahedra.  The float path carries float64 values at zeta = e^(i pi s/r),
 where every weight is real: each table entry is checked once for a
 vanishing imaginary part.  The exact path carries int64 residues modulo
 primes p = 1 (mod 2r) at the roots of the coefficient ring mod p, one
@@ -28,7 +29,6 @@ per s.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,6 +40,7 @@ from quantum3.complex3 import (
     Triangulation,
     admissible_triple,
     color_range,
+    faces_completed_at,
     greedy_edge_order,
 )
 from quantum3.cyclo import (
@@ -144,55 +145,67 @@ def coloring_weight(t: Triangulation, c: Coloring) -> CycloNum:
 
 class _Schedule:
     """Static elimination data for the frontier sum over one triangulation,
-    in the greedy face-completing assignment order."""
+    in the greedy face-completing assignment order.
+
+    active_after[p] holds the edges live after step p (assigned, with a
+    face or tetrahedron still to complete) in the order of their key
+    digits, lowest first: by the step where they retire (last_use), ties
+    going to the latest assigned.  So the edges that retire at a step hold
+    the lowest digits of its parents' keys, and slot_count, the peak
+    width, is the number of digits a key needs.
+
+    Each tetrahedron that completes at a step absorbs the faces that
+    complete with it (they all pass through the new edge), each face
+    once: absorbed[p] gives, per tetrahedron of tet_checks[p], the slot
+    triples of the faces it absorbs, and loose_faces[p] the completing
+    faces that no tetrahedron absorbed.  A face is matched to a slot
+    triple by its edge ids, and face weights are symmetric, so an edge
+    that fills two slots needs no special case."""
 
     def __init__(self, t: Triangulation):
         order = greedy_edge_order(t)
         pos = {e: p for p, e in enumerate(order)}
         n = len(order)
-        face_pos = [max(pos[e] for e in f) for f in t.face_edges]
-        tet_pos = [max(pos[e] for e in slots) for slots in t.tet_edges]
-        last_use = {e: pos[e] for e in range(n)}
-        for f_id, f in enumerate(t.face_edges):
-            for e in f:
-                last_use[e] = max(last_use[e], face_pos[f_id])
-        for t_id, slots in enumerate(t.tet_edges):
-            for e in slots:
-                last_use[e] = max(last_use[e], tet_pos[t_id])
-
         self.order = order
-        self.last_use = last_use
-        self.face_checks = [[] for _ in range(n)]
-        for f_id, f in enumerate(t.face_edges):
-            self.face_checks[face_pos[f_id]].append(f)
+        self.face_checks = [
+            [t.face_edges[f] for f in ids] for ids in faces_completed_at(t, order)
+        ]
         self.tet_checks = [[] for _ in range(n)]
-        for t_id, slots in enumerate(t.tet_edges):
-            self.tet_checks[tet_pos[t_id]].append(slots)
+        for slots in t.tet_edges:
+            self.tet_checks[max(pos[e] for e in slots)].append(slots)
+        last_use = dict(pos)
+        for p, (faces, tets) in enumerate(zip(self.face_checks, self.tet_checks)):
+            for e in chain(*faces, *tets):
+                last_use[e] = max(last_use[e], p)
+        self.last_use = last_use
+        self.active_after = [
+            tuple(
+                sorted(
+                    (e for e in order[: p + 1] if last_use[e] > p),
+                    key=lambda e: (last_use[e], -pos[e]),
+                )
+            )
+            for p in range(n)
+        ]
+        self.slot_count = max(map(len, self.active_after))
 
-        self.active_after: list[tuple[int, ...]] = []
-        assigned: list[int] = []
-        for p, e in enumerate(order):
-            assigned.append(e)
-            self.active_after.append(tuple(sorted(x for x in assigned if last_use[x] > p)))
-
-        # Key slot of every edge that outlives its own step, held from its
-        # assignment to its retirement.  Assigning by start time and
-        # reusing the lowest freed slot (a retiring edge frees its slot to
-        # the edge assigned at the same step) colors the interval graph
-        # optimally, so slot_count is the peak frontier width.
-        self.slot: dict[int, int] = {}
-        self.slot_count = 0
-        free: list[int] = []
-        for p, e in enumerate(order):
-            before = self.active_after[p - 1] if p else ()
-            for x in before:
-                if x not in self.active_after[p]:
-                    heapq.heappush(free, self.slot[x])
-            if e in self.active_after[p]:
-                if not free:
-                    free.append(self.slot_count)
-                    self.slot_count += 1
-                self.slot[e] = heapq.heappop(free)
+        self.absorbed: list[list[tuple]] = []
+        self.loose_faces: list[list[tuple]] = []
+        for faces, tets in zip(self.face_checks, self.tet_checks):
+            loose = list(faces)
+            absorbed = []
+            for slots in tets:
+                mine = []
+                # The slot triples of the four faces (complex3's docstring).
+                for tri in ((0, 1, 2), (0, 4, 5), (1, 3, 5), (2, 3, 4)):
+                    edges = sorted(slots[q] for q in tri)
+                    face = next((f for f in loose if sorted(f) == edges), None)
+                    if face is not None:
+                        loose.remove(face)
+                        mine.append(tri)
+                absorbed.append(tuple(mine))
+            self.absorbed.append(absorbed)
+            self.loose_faces.append(loose)
 
 
 # Bytes of the rows that one frontier step may build: the row limit of a
@@ -218,26 +231,32 @@ def _key_bits(sched: _Schedule, n_colors: int) -> int:
 
 def _sort_reduce(np, keys, vals, cnts, modulus):
     """Rows sorted by key, rows with equal keys summed in input order
-    (and reduced mod modulus, unless it is None).
+    (and reduced mod modulus, unless it is None).  Keys that arrive in
+    non-decreasing order, as every color batch of a step does, are summed
+    where they lie, with no sort.
 
     Pass freshly made arrays, held by no other name: each input is then
     freed as soon as its sorted or reduced form exists."""
-    if (keys[1:] > keys[:-1]).all():
-        return keys, vals, cnts
-    order = np.argsort(keys, kind="stable")
-    keys = keys.take(order)
+    order = None
+    if not (keys[1:] >= keys[:-1]).all():
+        order = np.argsort(keys, kind="stable")
+        keys = keys.take(order)
+
+    def ordered(a):
+        return a if order is None else a.take(order, axis=0)
+
     new_key = keys[1:] != keys[:-1]
     if new_key.all():
-        return keys, vals.take(order, axis=0), cnts.take(order)
+        return keys, ordered(vals), ordered(cnts)
     starts = np.flatnonzero(np.concatenate(([True], new_key)))
     del new_key
     out = np.empty((len(starts), vals.shape[1]), dtype=vals.dtype)
     for c in range(vals.shape[1]):
-        out[:, c] = np.add.reduceat(vals[:, c].take(order), starts)
+        out[:, c] = np.add.reduceat(ordered(vals[:, c]), starts)
     del vals
     if modulus is not None:
         out %= modulus
-    cnts = np.add.reduceat(cnts.take(order), starts)
+    cnts = np.add.reduceat(ordered(cnts), starts)
     return keys.take(starts), out, cnts
 
 
@@ -275,8 +294,9 @@ def _merge(np, key_runs: list, val_runs: list, cnt_runs: list, modulus, step: in
 class _SortedAccumulator:
     """The transitions of one frontier step, merged once.
 
-    add() sorts each batch by key and sums its rows with equal keys, so
-    every batch is kept as a sorted run with unique keys.  flush()
+    add() sums each batch's rows with equal keys (a batch arrives sorted
+    by key, see _run_frontier_vector), so every batch is kept as a sorted
+    run with unique keys.  flush()
     concatenates the runs, dropping each list of runs as soon as it is
     copied, then does one stable sort (timsort merges the presorted runs)
     and one reduceat.  Value columns of dtype int64 are residues, reduced
@@ -344,23 +364,24 @@ def _weight_rows(np, r: int, colors: tuple[int, ...]):
 def _vector_tables(np, rows, column):
     """Lookup tables for the vector engine from the weight rows of
     _weight_rows, indexed by color-index digits: (edge_tab, face_adm,
-    face_tab, tet_tab), with face_tab and tet_tab dense over the nc^3 and
-    nc^6 digit tuples and zero where a tuple is inadmissible.  column maps
-    a list of weights to an (n, ns) array, one row per weight: float64
-    values at zeta = e^(i pi s/r) (_float_column), or int64 residues
-    (_residue_column); each checks every entry it makes.  Its edge table
-    gives every table's ns and dtype (no weight list is empty: the
-    all-zero tuple is always admissible)."""
-    edges, face_adm, faces, tets = rows
+    face_tab, tet_tab, tet_row).  face_tab is dense over the nc^3 digit
+    triples and zero where a triple is inadmissible; tet_tab holds one row
+    per admissible digit tuple of a tetrahedron, and tet_row maps the nc^6
+    digit tuples to those rows as int32, -1 where a tuple is inadmissible
+    (so tet_row >= 0 is the tetrahedron's admissibility mask).  column
+    maps a list of weights to an (n, ns) array, one row per weight:
+    float64 values at zeta = e^(i pi s/r) (_float_column), or int64
+    residues (_residue_column); each checks every entry it makes.  Its
+    edge table gives every table's ns and dtype (no weight list is empty:
+    the all-zero tuple is always admissible)."""
+    edges, face_adm, (face_flat, face_weights), (tet_flat, tet_weights) = rows
     nc = len(edges)
     edge_tab = column(edges)
-
-    def dense(size, flat, weights):
-        out = np.zeros((size, edge_tab.shape[1]), dtype=edge_tab.dtype)
-        out[flat] = column(weights)
-        return out
-
-    return edge_tab, face_adm, dense(nc**3, *faces), dense(nc**6, *tets)
+    face_tab = np.zeros((nc**3, edge_tab.shape[1]), dtype=edge_tab.dtype)
+    face_tab[face_flat] = column(face_weights)
+    tet_row = np.full(nc**6, -1, dtype=np.int32)
+    tet_row[tet_flat] = np.arange(len(tet_flat), dtype=np.int32)
+    return edge_tab, face_adm, face_tab, column(tet_weights), tet_row
 
 
 def _float_column(s_values: tuple[int, ...]):
@@ -422,15 +443,24 @@ def _run_frontier_vector(
     modulus < 2^31, reduced after every product and every sum so that no
     product passes int64.  Weights are read from tables (see
     _vector_tables), one edge-table row per color, and both domains run
-    the same operations in the same order.  The key holds the color
-    index of every frontier edge in that edge's bit slot
-    (_Schedule.slot), so a digit is a shift and a mask and a child key
-    is (parent & kept slots) | (x << slot of the new edge).  Each color
-    of the parents becomes one sorted run, and the step ends with one
-    merge (_SortedAccumulator.flush).  Table indices are int32: each
-    digit is extracted once per step, and a face or tetrahedron index is
-    built in one array from the digits (_grand_sum keeps nc^6 within
-    int32).
+    the same operations in the same order.
+
+    The key holds the color index of every frontier edge as one digit, in
+    the order of sched.active_after: the edges that retire at a step hold
+    its parents' lowest digits, so a step drops them with one shift, and
+    the new edge's digit is inserted at its rank j as
+    ((k >> j) << (j + 1)) | (k & low j) | (x << j), in digits.  Both maps
+    keep the order of keys, so each color of the sorted parents gives a
+    batch of children with non-decreasing keys, which _SortedAccumulator
+    sums with no sort, and the step ends with one merge
+    (_SortedAccumulator.flush).  Table indices are int32: each digit is
+    extracted once per step, and a face or tetrahedron index is built in
+    one array from the digits (_grand_sum keeps nc^6 within int32).  A
+    completing tetrahedron reads its rows from tet_row (its admissibility
+    mask) and its values from tet_tab times the weights of the faces it
+    absorbs (_Schedule.absorbed), one table per pattern of absorbed face
+    slots, built once per sweep; only the loose faces are read from the
+    face tables.
 
     A step never builds more than row_limit rows.  A parent has at most
     nc children, so two or more parents whose children could pass the
@@ -442,31 +472,44 @@ def _run_frontier_vector(
     goes on from the next step with the merged frontier, split again if
     it is still over the limit.  The sum is linear in the parent rows, so
     the merged rows hold the same sums and counts as an unsplit sweep.
-    The split edge is the frontier edge that retires last, ties going to
-    the earliest assigned, among those whose digit is not the same in
-    every row: the parts then stay small for as long as possible.  Keys
-    are unique, so two or more parents have such an edge, and a part
-    still over the limit is split again on another.  A merged frontier is
-    not bounded by row_limit: it is the whole frontier after the
-    retirement step.  On all-color float s2xs1 at 16 MiB steps the
-    largest held 5 rows at r=6 and 921,984 at r=7 (against 262,144-row
-    limits).  peak_out, when given, receives the live states after every
-    step of every part, in the order they run, and no merged frontier.
-    Raises ArithmeticError at the first merge whose counts pass int64
-    (_merge holds the one exact count check)."""
+    The split digit is the top one that varies: its edge retires last,
+    ties going to the earliest assigned, so the parts stay small for as
+    long as possible, and the parts are contiguous slices of the sorted
+    parents.  Keys are unique, so two or more parents have such a digit,
+    and a part still over the limit is split again on a lower one.  A
+    merged frontier is not bounded by row_limit: it is the whole frontier
+    after the retirement step.  On all-color float s2xs1 at 16 MiB steps
+    the largest merge took in 5 rows at r=6, and at r=7 6 parts of
+    153,664 rows that merged into 153,664 (against 262,144-row limits).
+    peak_out, when given, receives the live states after every step of
+    every part, in the order they run, and no merged frontier.  Raises
+    ArithmeticError at the first merge whose counts pass int64 (_merge
+    holds the one exact count check)."""
     import numpy as np
 
-    edge_tab, adm_flat, face_flat, tet_flat = tables
+    edge_tab, face_adm, face_tab, tet_tab, tet_row = tables
     dtype = edge_tab.dtype
     nc = len(edge_tab)
     bits = _key_bits(sched, nc)
     digit_mask = (1 << bits) - 1
-    shift = {e: bits * q for e, q in sched.slot.items()}
     ns = len(s_values)
+    tet_digits = np.unravel_index(np.flatnonzero(tet_row >= 0), (nc,) * 6)
+    fused_tabs: dict[tuple, object] = {}
 
     def reduce(a) -> None:
         if modulus is not None:
             np.remainder(a, modulus, out=a)
+
+    def fused(absorbed):
+        """tet_tab times the weights of the faces on the absorbed slot
+        triples, row by row (cached per pattern)."""
+        if absorbed not in fused_tabs:
+            out = tet_tab
+            for a, b, c in absorbed:
+                out = out * face_tab[(tet_digits[a] * nc + tet_digits[b]) * nc + tet_digits[c]]
+                reduce(out)
+            fused_tabs[absorbed] = out
+        return fused_tabs[absorbed]
 
     def stride(check, e) -> int:
         """The stride of new edge e in a check's table index base + x * stride:
@@ -475,9 +518,9 @@ def _run_frontier_vector(
 
     def sweep(p0: int, frontier: list, stop: int):
         """The rows [keys, vals, cnts] of frontier, which hold the states
-        after step p0 - 1, carried through step stop: (keys, vals, cnts)
-        after it.  frontier is emptied, so each array is freed once it is
-        used."""
+        after step p0 - 1 sorted by key, carried through step stop:
+        (keys, vals, cnts) after it.  frontier is emptied, so each array
+        is freed once it is used."""
         keys, vals, cnts = frontier
         frontier.clear()
         p = p0
@@ -486,21 +529,23 @@ def _run_frontier_vector(
             before = sched.active_after[p - 1] if p else ()
             after = sched.active_after[p]
             if len(keys) > 1 and len(keys) * nc > row_limit:
-                for edge in sorted(
-                    before, key=lambda a: (-sched.last_use[a], sched.order.index(a))
-                ):
-                    digit = (keys >> shift[edge]) & digit_mask
-                    if (digit != digit[0]).any():
-                        break
-                parts = []
-                for d in range(nc):
-                    rows = np.flatnonzero(digit == d)
-                    if len(rows):
-                        parts.append([keys.take(rows), vals.take(rows, axis=0), cnts.take(rows)])
-                del keys, vals, cnts, digit, rows
+                # The keys are sorted, so the top digit that varies is the
+                # top one in which the first and last keys differ, and its
+                # values cut the rows into slices.  Each slice is copied, so
+                # that each part is freed once it has run (views would hold
+                # all the parents until the last part ends).
+                top = (int(keys[0] ^ keys[-1]).bit_length() - 1) // bits
+                digit = (keys >> bits * top) & digit_mask
+                cuts = np.searchsorted(digit, np.arange(nc + 1)).tolist()
+                parts = [
+                    [keys[lo:hi].copy(), vals[lo:hi].copy(), cnts[lo:hi].copy()]
+                    for lo, hi in zip(cuts, cuts[1:])
+                    if lo < hi
+                ]
+                del keys, vals, cnts, digit
                 # The parts' children first share keys at the step where
                 # the split edge retires: merge them there.
-                q = min(sched.last_use[edge], stop)
+                q = min(sched.last_use[before[top]], stop)
                 key_runs, val_runs, cnt_runs = [], [], []
                 while parts:
                     part_keys, part_vals, part_cnts = sweep(p, parts.pop(), q)
@@ -511,14 +556,23 @@ def _run_frontier_vector(
                 keys, vals, cnts = _merge(np, key_runs, val_runs, cnt_runs, modulus, q)
                 p = q + 1
                 continue
-            keep = np.int64(sum(digit_mask << shift[x] for x in before if x in after))
-            new_shift = shift[e] if e in after else None
-            face_checks = sched.face_checks[p]
-            tet_checks = sched.tet_checks[p]
-            face_strides = [stride(f, e) for f in face_checks]
-            tet_strides = [stride(slots, e) for slots in tet_checks]
+            rank = {x: i for i, x in enumerate(before)}
+            # The retiring edges hold the lowest digits.
+            kept = keys >> bits * (len(before) - len(after) + (e in after))
+            new_shift = None
+            if e in after:
+                new_shift = bits * after.index(e)
+                low = kept & ((1 << new_shift) - 1)
+                kept >>= new_shift
+                kept <<= new_shift + bits
+                kept |= low
+                del low
+            loose = sched.loose_faces[p]
+            tets = sched.tet_checks[p]
+            face_strides = [stride(f, e) for f in loose]
+            tet_strides = [stride(slots, e) for slots in tets]
+            tet_tabs = [fused(a) for a in sched.absorbed[p]]
             acc = _SortedAccumulator(np, ns, dtype, modulus)
-            kept = keys & keep
             digits: dict[int, object] = {}
 
             def flat_base(check):
@@ -528,19 +582,22 @@ def _run_frontier_vector(
                     if eid == e:
                         continue
                     if eid not in digits:
-                        digits[eid] = ((keys >> shift[eid]) & digit_mask).astype(np.int32)
+                        digits[eid] = ((keys >> bits * rank[eid]) & digit_mask).astype(np.int32)
                     out += digits[eid]
                 return out
 
-            face_base = [flat_base(f) for f in face_checks]
-            tet_base = [flat_base(slots) for slots in tet_checks]
+            face_base = [flat_base(f) for f in loose]
+            tet_base = [flat_base(slots) for slots in tets]
             del digits
             for x in range(nc):
                 face_idx = [b + x * w for b, w in zip(face_base, face_strides)]
-                mask = None
-                for fi in face_idx:
-                    adm = adm_flat.take(fi)
-                    mask = adm if mask is None else mask & adm
+                tet_rows = [tet_row.take(b + x * w) for b, w in zip(tet_base, tet_strides)]
+                masks = chain(
+                    (face_adm.take(fi) for fi in face_idx), (rows >= 0 for rows in tet_rows)
+                )
+                mask = next(masks, None)
+                for adm in masks:
+                    mask &= adm
                 sel = None
                 if mask is not None:
                     sel = np.flatnonzero(mask)
@@ -552,15 +609,12 @@ def _run_frontier_vector(
                 def pick(a):
                     return a if sel is None else a.take(sel, axis=0)
 
-                # Factor order edge, faces, tets, parent value, which
+                # Factor order edge, loose faces, tets, parent value, which
                 # fixes the float rounding; one gathered factor at a time,
                 # each residue product reduced before the next.
                 factors = chain(
-                    (face_flat.take(pick(fi), axis=0) for fi in face_idx),
-                    (
-                        tet_flat.take(pick(b) + x * w, axis=0)
-                        for b, w in zip(tet_base, tet_strides)
-                    ),
+                    (face_tab.take(pick(fi), axis=0) for fi in face_idx),
+                    (tab.take(pick(rows), axis=0) for tab, rows in zip(tet_tabs, tet_rows)),
                     (pick(vals),),
                 )
                 new_vals = next(factors) * edge_tab[x]
@@ -569,7 +623,7 @@ def _run_frontier_vector(
                     new_vals *= fac
                     del fac
                 reduce(new_vals)
-                del factors, face_idx
+                del factors, face_idx, tet_rows
                 child = pick(kept)
                 if new_shift is not None:
                     child = child | np.int64(x << new_shift)

@@ -444,7 +444,8 @@ def _recorded_sweeps(monkeypatch, step_bytes: int) -> list:
     """Run later sums afresh with steps of step_bytes and record each
     sweep as (row_limit, steps, peaks, built): the schedule's step count,
     the live states after every step of every part, and the rows that
-    each step passed to _SortedAccumulator.add."""
+    each step passed to _SortedAccumulator.add.  Every batch passed to add
+    must arrive with non-decreasing keys."""
     sweeps = []
 
     class RecordingAccumulator(_SortedAccumulator):
@@ -453,6 +454,7 @@ def _recorded_sweeps(monkeypatch, step_bytes: int) -> list:
             sweeps[-1][3].append(0)
 
         def add(self, keys, vals, cnts):
+            assert (keys[1:] >= keys[:-1]).all(), "color batch out of key order"
             sweeps[-1][3][-1] += len(keys)
             super().add(keys, vals, cnts)
 
@@ -486,6 +488,24 @@ def test_exact_grand_sum_survives_frontier_splits(monkeypatch):
     # Every prime's sweep split its frontier: a part repeats steps.
     assert sweeps and all(len(peaks) > steps for _, steps, peaks, _ in sweeps)
     _assert_steps_within_limit(sweeps)
+
+
+@pytest.mark.parametrize(
+    "name, r, step_bytes",
+    [("s3_boundary4simplex", 7, 16 << 20), ("s2xs1", 5, 16 << 20), ("s2xs1", 5, 4006 * 48)],
+)
+def test_color_batches_arrive_sorted(monkeypatch, name, r, step_bytes):
+    # Retirement-ordered key digits keep every color batch of a step in
+    # key order, in both domains, unsplit and at a 4,006-row limit (4
+    # evaluation columns at r=5 make 48-byte rows).  _recorded_sweeps
+    # asserts the order at every add.
+    t = load_asset(name)
+    for exact in (False, True):
+        sweeps = _recorded_sweeps(monkeypatch, step_bytes)
+        _grand_sum(t, r, False, exact)
+        assert sweeps and all(built for *_, built in sweeps)
+    if step_bytes < 16 << 20:
+        assert all(len(peaks) > steps for _, steps, peaks, _ in sweeps)
 
 
 def test_exact_s2xs1_at_r5_is_one():
@@ -524,6 +544,28 @@ def test_float_tables_reject_unreal_weights():
     bent = ([CycloNum.zeta_pow(3, 1)] + edges[1:], *rest)
     with pytest.raises(ArithmeticError, match="not real at s=1"):
         statesum._vector_tables(np, bent, statesum._float_column(reps))
+
+
+def test_tetrahedron_table_is_compact():
+    # One table row per admissible digit tuple, and the int32 row map is
+    # -1 exactly where one of the tetrahedron's four faces is inadmissible.
+    import numpy as np
+    from itertools import product
+
+    r = 6
+    colors = color_range(r)
+    rows = statesum._weight_rows(np, r, colors)
+    _, _, _, tet_tab, tet_row = statesum._vector_tables(
+        np, rows, statesum._float_column(evaluation_points(r))
+    )
+    assert tet_tab.shape == (329, len(evaluation_points(r)))
+    assert tet_row.dtype == np.int32
+    want = [
+        all(admissible_triple(*tri, r) for tri in ((i, j, k), (i, m, n), (j, l, n), (k, l, m)))
+        for i, j, k, l, m, n in product(colors, repeat=6)
+    ]
+    assert ((tet_row >= 0) == np.array(want)).all()
+    assert sorted(tet_row[tet_row >= 0].tolist()) == list(range(329))
 
 
 def test_weight_rows_built_once_per_exact_sum(monkeypatch):
@@ -569,11 +611,15 @@ def test_schedule_is_greedy_with_known_peak_width(name, peak_width):
     sched = _Schedule(t)
     assert sched.order == greedy_edge_order(t)
     assert max(len(a) for a in sched.active_after) == peak_width
-    # Vector keys: one bit slot per frontier edge, never shared by two
-    # edges active at once, and no more slots than the peak width.
+    # Vector keys: one digit per live edge, as many digits as the peak
+    # width, and the edges that retire at a step hold the lowest digits of
+    # its parents' keys.
     assert sched.slot_count == peak_width
-    for active in sched.active_after:
-        assert len({sched.slot[e] for e in active}) == len(active)
+    for p, active in enumerate(sched.active_after):
+        live = {e for e in sched.order[: p + 1] if sched.last_use[e] > p}
+        assert len(active) == len(live) and set(active) == live
+        retiring = [e for e in active if sched.last_use[e] == p + 1]
+        assert list(active[: len(retiring)]) == retiring
 
 
 def test_key_packing_limit_raises_before_tables(monkeypatch):
