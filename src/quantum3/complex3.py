@@ -2,7 +2,8 @@
 
 A triangulation is a list of tetrahedra on consecutive vertex indices,
 checked on construction to be a closed 3-manifold: each face lies in two
-tetrahedra, each edge link is a circle and each vertex link a 2-sphere.
+tetrahedra and each vertex link is a 2-sphere (so each edge link is a
+circle).
 Only the combinatorics needed by the state sum is kept: edges, triangular
 faces, and their incidences inside each tetrahedron.  Orientation is not
 tracked; every quantity computed downstream is orientation-independent.
@@ -60,9 +61,9 @@ class Triangulation:
     Pre-computes edge and face tables plus the per-tetrahedron slot maps
     described in the module docstring.  The constructor raises
     TriangulationError unless every face is shared by exactly two
-    tetrahedra, every edge link is a circle and every vertex link a
-    2-sphere; a link defect is reported as "not a closed 3-manifold",
-    edges before vertices.
+    tetrahedra and every vertex link is a 2-sphere, which makes every
+    edge link a circle; a link defect is reported as "not a closed
+    3-manifold" at the first vertex whose link fails.
     """
 
     def __init__(self, tetrahedra: Iterable[Sequence[int]]):
@@ -111,11 +112,10 @@ class Triangulation:
             raise TriangulationError(f"not closed: faces {bad[:5]} not shared by exactly two tetrahedra")
         self.face_tets: tuple[tuple[int, int], ...] = tuple(tuple(ts) for ts in face_tets)
 
-        for edge in edge_set:
-            if self._pieces(*edge) != 1:
-                raise TriangulationError(
-                    f"not a closed 3-manifold: edge {edge} link is not a single circle"
-                )
+        # Once each face lies in two tetrahedra, a connected vertex link has
+        # chi = chi(its normalized surface) - sum over edges (v, u) of (the
+        # circles in the link of (v, u) - 1) <= 2, so chi = 2 also makes
+        # every edge link at v a single circle.
         for v in range(self.vertex_count):
             # A cell at v with k + 1 vertices gives a (k - 1)-cell of its link.
             link_chi = sum((-1) ** len(c) for c in chain(edge_set, face_set, tets) if v in c)

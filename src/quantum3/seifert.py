@@ -23,12 +23,20 @@ mod 2 before exponentiation, since the raw exponents grow like r * a^2
 and would otherwise lose precision.  The fiber sums keep it as an integer
 numerator N over a r, reduced mod 2ar and read from a table of roots of
 unity; the gamma Euler phase is a ratio of ints and the U_r phase a Fraction.
+
+Cost.  N is linear in gamma, so one pass per distinct fiber gives its sums
+for every gamma at once (_fiber_sums).  The root table is built once per
+(a, r) and serves both symbols of a Hempel pair, and the level-free
+constants of a symbol (Euler number, Dedekind sums) are computed once;
+both caches are small and bounded.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,15 +142,38 @@ def _phase(frac: Fraction) -> complex:
     return cmath.exp(1j * math.pi * float(frac % 2))
 
 
-def _fiber_sum(roots: list[complex], a: int, c: int, r: int, gamma: int) -> complex:
-    """Sum over mu = +-1 and m mod a of mu e^{i pi N/(a r)}, where
-    N = -(2rm+mu) gamma - 2r(rm^2+mu m) c and roots[k] = e^{i pi k/(a r)}."""
-    fiber = 0j
-    for mu in (1, -1):
+@functools.lru_cache(maxsize=8)
+def _roots(a: int, r: int) -> tuple[complex, ...]:
+    """The table e^{i pi k/(a r)} for k mod 2ar.  A level's table serves
+    every fiber of cone order a, in both symbols of a Hempel pair."""
+    return tuple([cmath.exp(1j * math.pi * (k / (a * r))) for k in range(2 * a * r)])
+
+
+def _fiber_sums(a: int, c: int, r: int) -> list[complex]:
+    """For gamma = 1..r-1 (entry gamma - 1), the sum over mu = +-1 and
+    m mod a of mu e^{i pi N/(a r)} with
+    N = -(2rm+mu) gamma - 2r(rm^2+mu m) c.  N is linear in gamma, so each
+    (mu, m) term is one run of table indices over gamma; the runs are
+    added (mu = 1) or subtracted (mu = -1) in (mu, m) order, so each entry
+    is the same float sum as one gamma's loop over (mu, m)."""
+    roots = _roots(a, r)
+    size = len(roots)
+    sums = [0j] * (r - 1)
+    for mu, combine in ((1, operator.add), (-1, operator.sub)):
         for m in range(a):
-            n = -(2 * r * m + mu) * gamma - 2 * r * (r * m * m + mu * m) * c
-            fiber += mu * roots[n % len(roots)]
-    return fiber
+            base = -2 * r * (r * m * m + mu * m) * c
+            step = -(2 * r * m + mu)
+            run = [roots[n % size] for n in range(base + step, base + step * r, step)]
+            sums = list(map(combine, sums, run))
+    return sums
+
+
+@functools.lru_cache(maxsize=8)
+def _symbol_constants(sym: SeifertSymbol) -> tuple[Fraction, Fraction]:
+    """The Euler number and the sum of the Dedekind sums s(b_j, a_j): the
+    parts of the ratio that do not depend on the level."""
+    ded = sum((dedekind_sum(b, a) for a, b in sym.pairs), Fraction(0))
+    return euler_number(sym), ded
 
 
 def _z_full(sym: SeifertSymbol, r: int, b_star: list[int]) -> complex:
@@ -150,28 +181,25 @@ def _z_full(sym: SeifertSymbol, r: int, b_star: list[int]) -> complex:
     sums are grouped per fiber, which is an exact regrouping of the
     triple sum.
 
-    Fiber j's phases have integer numerators N over a r (see _fiber_sum
+    Fiber j's phases have integer numerators N over a r (see _fiber_sums
     with c = b*_j), reduced exactly mod 2ar, and the gamma phases are
     gamma^2 E/(2r) mod 2 as ratios of ints.  The root table and the gamma
     phases are what exponentiating the reduced Fractions would give: int
     and Fraction true division both round a rational correctly.  N mod 2ar
-    depends on b*_j only mod a, so each fiber sum is computed once per
-    (a, b*_j mod a) and gamma."""
-    e_num = euler_number(sym)
+    depends on b*_j only mod a, so the fiber sums of each distinct
+    (a, b*_j mod a) are computed once, for every gamma in one pass, before
+    the gamma loop multiplies them in fiber order."""
+    e_num = _symbol_constants(sym)[0]
     sin_exp = sym.n + 2 * sym.g - 2
     keys = [(a, bs % a) for (a, _), bs in zip(sym.pairs, b_star)]
-    roots = {
-        a: [cmath.exp(1j * math.pi * (k / (a * r))) for k in range(2 * a * r)]
-        for a in {a for a, _ in keys}
-    }
+    fibers = {(a, c): _fiber_sums(a, c, r) for a, c in set(keys)}
     e_den = 2 * r * e_num.denominator
     total = 0j
     for gamma in range(1, r):
         term = cmath.exp(1j * math.pi * (gamma * gamma * e_num.numerator % (2 * e_den) / e_den))
         term *= math.sin(math.pi * gamma / r) ** (-sin_exp)
-        fibers = {(a, c): _fiber_sum(roots[a], a, c, r, gamma) for a, c in set(keys)}
         for key in keys:
-            term *= fibers[key]
+            term *= fibers[key][gamma - 1]
         total += term
     return total
 
@@ -185,11 +213,10 @@ def hansen_ratio(sym: SeifertSymbol, r: int) -> complex:
     orientation-independent, so consumers wanting an invariant should
     use tv_seifert."""
     check_level(r)
-    e_num = euler_number(sym)
+    e_num, ded = _symbol_constants(sym)
     n, g = sym.n, sym.g
     z = _z_full(sym, r, [pow(b, -1, a) for a, b in sym.pairs])
     sgn = (e_num > 0) - (e_num < 0)
-    ded = sum((dedekind_sum(b, a) for a, b in sym.pairs), Fraction(0))
     u_arg = (Fraction(3, 2 * r) - Fraction(3, 4)) * sgn + (e_num + 12 * ded) / (2 * r)
     u = (-1) ** n * _phase(u_arg)
     return r ** (g - 1) * u * z / (2 ** (n + g - 1) * math.sqrt(math.prod(a for a, _ in sym.pairs)))

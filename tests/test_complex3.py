@@ -109,15 +109,16 @@ def test_pinched_complex_fails_manifold_check():
     assert str(err.value) == "not a closed 3-manifold: vertex 0 link is not a 2-sphere (chi=4)"
 
 
-def test_shared_edge_complex_fails_edge_link_check():
+def test_shared_edge_complex_fails_vertex_link_check():
     # Two 3-spheres sharing the edge (0, 1): every face lies in two
-    # tetrahedra, but the edge link is two circles.  Edges are checked
-    # before vertices, so the edge is the defect named.
+    # tetrahedra, but the edge link is two circles.  The link of vertex 0
+    # is then two 2-spheres glued at one point (chi = 3), so the vertex
+    # check names the defect.
     label = list(combinations(range(5), 4))
     other = [tuple(v if v < 2 else v + 3 for v in t) for t in label]
     with pytest.raises(TriangulationError) as err:
         Triangulation(label + other)
-    assert str(err.value) == "not a closed 3-manifold: edge (0, 1) link is not a single circle"
+    assert str(err.value) == "not a closed 3-manifold: vertex 0 link is not a 2-sphere (chi=3)"
 
 
 def test_s2xs1_asset_is_closed_manifold():

@@ -18,7 +18,7 @@ from quantum3.hempel import (
     report,
     to_csv,
 )
-from quantum3.seifert import SeifertSymbol, same_manifold, tv_closed_form
+from quantum3.seifert import SeifertSymbol, _roots, same_manifold, tv_closed_form
 
 
 def sym(text: str) -> SeifertSymbol:
@@ -187,6 +187,19 @@ def test_report_out_of_scope_rows():
     assert row14[0].value_a is None and row14[0].equal is None
     covered = {row.r for row in rep.rows}
     assert covered == set(range(3, 15))
+
+
+def test_report_builds_one_root_table_per_ratio_level():
+    # Both symbols of the order-7 pair have cone order a = 7, so every
+    # ratio level needs one table of roots of unity, shared by the two
+    # sides and by the fibers of each side.
+    _roots.cache_clear()
+    rep = report(sym("0; 7/1, 7/1, 7/-1, 7/-1"), 2, 30)
+    ratio_levels = {row.r for row in rep.rows if row.status == "ratio"}
+    assert len(ratio_levels) == 24
+    info = _roots.cache_info()
+    assert info.misses == len(ratio_levels)
+    assert info.hits >= len(ratio_levels)
 
 
 def test_integrality_flags_are_relative_for_large_values():

@@ -477,6 +477,13 @@ def test_z_full_bit_identical_to_fraction_oracle():
         b_star = default_b_star(symbol)
         for r in range(3, 41):
             assert _z_full(symbol, r, b_star) == fraction_z_full(symbol, r, b_star), (text, r)
+    # The Hempel report reaches r_max = 100: the paper pairs and their
+    # iterates at a few levels past 40, prime and composite.
+    for text in texts[:6]:
+        symbol = sym(text)
+        b_star = default_b_star(symbol)
+        for r in (41, 64, 97, 99):
+            assert _z_full(symbol, r, b_star) == fraction_z_full(symbol, r, b_star), (text, r)
     # b* is read mod a; shifted and negative representatives give the same
     # bits.
     symbol = sym("0; 5/2, 5/2, 5/-4, 1/1")
