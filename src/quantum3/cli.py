@@ -109,6 +109,8 @@ def _cmd_hempel(args: argparse.Namespace, out: TextIO) -> int:
     csv_text = to_csv(rep)
     if args.csv is None:
         out.write(csv_text)
+        # On a shared pipe the verdict must follow the CSV.
+        out.flush()
         print(f"verdict: {rep.verdict}", file=sys.stderr)
     else:
         Path(args.csv).write_text(csv_text)

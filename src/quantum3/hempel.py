@@ -19,7 +19,8 @@ _iterate_pair (k*, gcd(k, d) = 1, the iterate, triviality).  iterate,
 is_trivial_pair and report ask them, so each rejects a nonzero Euler number.
 
 report() compares the invariants of the two tori level by level, on the
-route that seifert.level_route picks for the level (both tori share it):
+route that seifert.level_route picks for the level, decided once for
+both tori (they share it):
 
 - "vanishing" and "closed_form": one row per s of evaluation_points(r),
   plus a refined row per s of evaluation_points(r, refined=True);
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import evaluation_points, is_near_integer
-from .seifert import SeifertSymbol, euler_number, level_route, tv_routed
+from .seifert import SeifertSymbol, _tv_on_route, euler_number, level_route
 
 INTEGRALITY_TOL = 1e-6
 
@@ -166,8 +167,8 @@ def report(
         )
         flag_int = route == "ratio"
         for s, refined in cells:
-            va = tv_routed(sym, r, s, refined)[0]
-            vb = tv_routed(sym_b, r, s, refined)[0]
+            va = _tv_on_route(sym, r, s, refined, route)
+            vb = _tv_on_route(sym_b, r, s, refined, route)
             rows.append(
                 ReportRow(
                     r=r,

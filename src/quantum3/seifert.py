@@ -344,10 +344,16 @@ def tv_routed(
     (cyclo.check_point) or no implemented formula covers (r, s)."""
     check_point(r, s, refined)
     route = level_route(sym, r)
+    return _tv_on_route(sym, r, s, refined, route), route
+
+
+def _tv_on_route(sym: SeifertSymbol, r: int, s: int, refined: bool, route: str) -> float:
+    """The value of tv_routed, given the route level_route(sym, r) and an
+    evaluation point (r, s, refined) that passed check_point."""
     if route == "vanishing":
-        return 0.0, route
+        return 0.0
     if route == "closed_form":
-        return tv_closed_form(sym, s, refined=refined, a=r), route
+        return tv_closed_form(sym, s, refined=refined, a=r)
     if route == "out_of_scope":
         raise ValueError(
             f"no implemented formula for ({sym}) at r={r}: the closed form covers "
@@ -355,13 +361,13 @@ def tv_routed(
             "coprime to every cone order"
         )
     if not refined and s % (2 * r) in (1, 2 * r - 1):
-        return tv_seifert(sym, r), route
+        return tv_seifert(sym, r)
     if refined and s % (2 * r) in (r - 1, r + 1):
         if any(a % 2 == 0 for a, _ in sym.pairs):
             raise ValueError("refined ratio route requires all cone orders odd")
         if euler_number(sym) != 0:
             raise ValueError("refined ratio route requires zero Euler number")
-        return tv_seifert(sym, r) / float(2 ** (2 * sym.g)), route
+        return tv_seifert(sym, r) / float(2 ** (2 * sym.g))
     raise ValueError(
         f"no implemented formula for s={s} at r={r}: the ratio route covers only "
         "s = +-1 (mod 2r), refined s = r -+ 1"

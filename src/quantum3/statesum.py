@@ -25,6 +25,21 @@ primes p = 1 (mod 2r) at the roots of the coefficient ring mod p, one
 prime per sweep, and recovers the grand sum as one CycloNum by CRT and
 rational reconstruction (see cyclo._ResidueImage); it is evaluated once
 per s.
+
+All-color sums are gauge-fixed.  The flip of a vertex v replaces the
+color c of every edge at v by r-2-c; it keeps every face admissible and
+every coloring's weight exactly (the c -> r-2-c symmetry behind the
+splitting TV_r = TV_3 TV'_r).  The flips act on the colors of the edges
+of a spanning forest of the 1-skeleton independently, one forest edge at
+a time, so
+
+    sum_c w(c) = sum over c with 2 c_e <= r-2 on every forest edge e of
+                 w(c) 2^(number of forest edges with 2 c_e < r-2),
+
+and the coloring count obeys the same formula: a forest edge takes only
+its lower colors, doubled, and at even r its self-flipped color (r-2)/2
+once.  Refined sums take no forest, as a flip at odd r maps even colors
+to odd ones.
 """
 
 from __future__ import annotations
@@ -211,10 +226,10 @@ class _Schedule:
 # Bytes of the rows that one frontier step may build: the row limit of a
 # sweep is this over the bytes of one row.  It is sized to the step, not
 # to memory: small steps keep their gathers and sorts in cache.  On
-# all-color float s2xs1 at r=6, steps of 8, 16 and 32 MiB took 2.6 to
-# 3.0 s at 44, 53 and 70 MB max RSS (three alternating runs each on a
-# 2-core machine), against 3.9 s at 206 MB under the 650 MB memory
-# budget that it replaces (7.8M-row steps).
+# gauge-fixed all-color float s2xs1, steps of 4 to 64 MiB took 0.32 to
+# 0.46 s at r=6 and 0.59 to 0.83 s at r=7 with no trend (two runs each
+# on a 2-core machine), while max RSS rose from 35 to 57 MB and from 37
+# to 86 MB.
 _STEP_BYTES = 16 << 20
 
 
@@ -267,21 +282,30 @@ def _drain(np, chunks: list):
     return out
 
 
-def _merge(np, key_runs: list, val_runs: list, cnt_runs: list, modulus, step: int):
+def _merge(
+    np, key_runs: list, val_runs: list, cnt_runs: list, modulus, step: int, mults=None
+):
     """The rows of the runs merged into one frontier by _sort_reduce; the
-    lists are emptied.
+    lists are emptied.  mults, when given, holds one count multiplier per
+    run (1, or 2 for a doubled color of a forest edge, see
+    _run_frontier_vector), applied here.
 
-    This is the engine's one count check.  Counts are never multiplied (a
-    child carries its parent's count), so they grow only where rows with
-    equal keys are summed: inside one color batch, bounded by the
-    parents' total that the last merge checked, and here.  So the runs'
-    counts are summed as Python ints first, and a total that passes int64
-    raises ArithmeticError naming the step."""
-    total = sum(int(run.sum()) for run in cnt_runs)
+    This is the engine's one count check.  A child's count is its
+    parent's count times its color's multiplier, and a color batch sums
+    its rows with equal keys before the multiplier is applied, so within
+    a batch counts stay bounded by the parents' total that the last merge
+    checked.  Here the runs' totals times their multipliers are summed as
+    Python ints first, and a total that passes int64 raises
+    ArithmeticError naming the step before any run is multiplied; after
+    that no multiplied run and no sum of rows can pass int64."""
+    mults = mults or [1] * len(cnt_runs)
+    total = sum(m * int(run.sum()) for m, run in zip(mults, cnt_runs))
     if total >= 2**63:
         raise ArithmeticError(
             f"coloring count passes int64 at step {step} ({total} partial colorings)"
         )
+    # A run may be its parents' own count array: multiply into a copy.
+    cnt_runs[:] = [run if m == 1 else run * m for m, run in zip(mults, cnt_runs)]
     return _sort_reduce(
         np,
         _drain(np, key_runs),
@@ -310,12 +334,15 @@ class _SortedAccumulator:
         self._keys: list = []
         self._vals: list = []
         self._cnts: list = []
+        self._mults: list[int] = []
 
-    def add(self, keys, vals, cnts) -> None:
+    def add(self, keys, vals, cnts, mult: int = 1) -> None:
+        """One color batch; its counts are multiplied by mult at the merge."""
         keys, vals, cnts = _sort_reduce(self._np, keys, vals, cnts, self._modulus)
         self._keys.append(keys)
         self._vals.append(vals)
         self._cnts.append(cnts)
+        self._mults.append(mult)
 
     def flush(self, step: int):
         """(keys, vals, cnts) of the step: sorted unique int64 keys, an
@@ -327,7 +354,9 @@ class _SortedAccumulator:
                 np.empty((0, self._ns), dtype=self._dtype),
                 np.empty(0, dtype=np.int64),
             )
-        return _merge(np, self._keys, self._vals, self._cnts, self._modulus, step)
+        return _merge(
+            np, self._keys, self._vals, self._cnts, self._modulus, step, self._mults
+        )
 
 
 def _weight_rows(np, r: int, colors: tuple[int, ...]):
@@ -433,6 +462,7 @@ def _run_frontier_vector(
     row_limit: int,
     peak_out: list | None = None,
     modulus: int | None = None,
+    forest: frozenset[int] = frozenset(),
 ) -> tuple[dict[int, complex | int], int]:
     """Frontier sum vectorized over states.  Returns the grand sum per
     requested s and the coloring count.
@@ -444,6 +474,13 @@ def _run_frontier_vector(
     product passes int64.  Weights are read from tables (see
     _vector_tables), one edge-table row per color, and both domains run
     the same operations in the same order.
+
+    forest holds the ids of the spanning-forest edges of an all-color sum
+    (tables over the colors 0..r-2, so a digit is its color; see the
+    module docstring and _spanning_forest).  At the step of a forest edge
+    only the colors x with 2x <= r-2 are visited, and where 2x < r-2 the
+    edge row is doubled and the batch's counts are doubled at the merge
+    (_merge).  An empty forest sums every coloring.
 
     The key holds the color index of every frontier edge as one digit, in
     the order of sched.active_after: the edges that retire at a step hold
@@ -479,8 +516,7 @@ def _run_frontier_vector(
     and a part still over the limit is split again on a lower one.  A
     merged frontier is not bounded by row_limit: it is the whole frontier
     after the retirement step.  On all-color float s2xs1 at 16 MiB steps
-    the largest merge took in 5 rows at r=6, and at r=7 6 parts of
-    153,664 rows that merged into 153,664 (against 262,144-row limits).
+    the largest merge took in 3 rows at the last step, at r=6 and at r=7.
     peak_out, when given, receives the live states after every step of
     every part, in the order they run, and no merged frontier.  Raises
     ArithmeticError at the first merge whose counts pass int64 (_merge
@@ -490,6 +526,17 @@ def _run_frontier_vector(
     edge_tab, face_adm, face_tab, tet_tab, tet_row = tables
     dtype = edge_tab.dtype
     nc = len(edge_tab)
+    # A forest edge takes only the colors x with 2x <= nc - 1 = r - 2; an x
+    # with 2x < r - 2 stands for its flip r - 2 - x too, so its edge row
+    # and its batch's counts double.
+    doubled = edge_tab * 2
+    if modulus is not None:
+        doubled %= modulus
+    colors = [(x, edge_tab[x], 1) for x in range(nc)]
+    gauged = [
+        (x, edge_tab[x], 1) if 2 * x == nc - 1 else (x, doubled[x], 2)
+        for x in range((nc + 1) // 2)
+    ]
     bits = _key_bits(sched, nc)
     digit_mask = (1 << bits) - 1
     ns = len(s_values)
@@ -589,7 +636,7 @@ def _run_frontier_vector(
             face_base = [flat_base(f) for f in loose]
             tet_base = [flat_base(slots) for slots in tets]
             del digits
-            for x in range(nc):
+            for x, edge_row, mult in gauged if e in forest else colors:
                 face_idx = [b + x * w for b, w in zip(face_base, face_strides)]
                 tet_rows = [tet_row.take(b + x * w) for b, w in zip(tet_base, tet_strides)]
                 masks = chain(
@@ -617,7 +664,7 @@ def _run_frontier_vector(
                     (tab.take(pick(rows), axis=0) for tab, rows in zip(tet_tabs, tet_rows)),
                     (pick(vals),),
                 )
-                new_vals = next(factors) * edge_tab[x]
+                new_vals = next(factors) * edge_row
                 for fac in factors:
                     reduce(new_vals)
                     new_vals *= fac
@@ -627,7 +674,7 @@ def _run_frontier_vector(
                 child = pick(kept)
                 if new_shift is not None:
                     child = child | np.int64(x << new_shift)
-                acc.add(child, new_vals, pick(cnts))
+                acc.add(child, new_vals, pick(cnts), mult)
                 del child, new_vals
             del keys, vals, cnts, kept, face_base, tet_base
             keys, vals, cnts = acc.flush(p)
@@ -649,6 +696,47 @@ def _run_frontier_vector(
     return dict(zip(s_values, vals.sum(axis=0).tolist())), int(cnts.sum())
 
 
+def _spanning_forest(t: Triangulation, sched: _Schedule) -> frozenset[int]:
+    """The ids of a spanning forest of the 1-skeleton of t: Kruskal over
+    the edges by descending last use, ties going to the earliest
+    assigned, so the forest favours the edges that stay live longest.  On
+    all-color float s2xs1 its sweeps built 1.72M rows at r=6 and 2.54M at
+    r=7, against 2.12M and 3.88M by descending live span (last use -
+    assignment position) and 13.8M at r=6 in assignment order.
+
+    The vertex flips that let a forest edge skip half its colors (see
+    the module docstring) assume that every edge joins two distinct
+    vertices, which the Triangulation constructor guarantees; a complex
+    glued from face pairings, whose edges may be loops, needs this rule
+    revisited."""
+    pos = {e: p for p, e in enumerate(sched.order)}
+    root: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        while root.setdefault(v, v) != v:
+            v = root[v]
+        return v
+
+    forest = set()
+    for e in sorted(pos, key=lambda e: (-sched.last_use[e], pos[e])):
+        a, b = (find(v) for v in t.edges[e])
+        if a != b:
+            root[a] = b
+            forest.add(e)
+    return frozenset(forest)
+
+
+_SCHEDULE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _schedule(t: Triangulation) -> tuple[_Schedule, frozenset[int]]:
+    """_Schedule(t) and its spanning forest, built once per triangulation."""
+    if t not in _SCHEDULE_CACHE:
+        sched = _Schedule(t)
+        _SCHEDULE_CACHE[t] = (sched, _spanning_forest(t, sched))
+    return _SCHEDULE_CACHE[t]
+
+
 _GRAND_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 
 
@@ -658,7 +746,9 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
     of any sweep builds more rows than that (_run_frontier_vector splits
     its parents first and merges the parts back where the split edge
     retires; a merged frontier can hold more).  The weight rows are built
-    once and serve every sweep.
+    once and serve every sweep, and the schedule and its spanning forest
+    once per triangulation (_schedule); all-color sums are gauge-fixed on
+    the forest, refined ones run with none.
 
     Float: one sweep carries every evaluation class as a float64 column
     (_float_column checks every table entry for reality), so the grand
@@ -672,7 +762,7 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
     deg M_r roots.  Sweeps with further primes follow until the value
     reconstructed from the earlier primes agrees with the newest one
     (_ResidueImage), and that value is the canonical CycloNum.  The grand
-    sum is a sum of count products of one weight per edge, face and
+    sum, gauge-fixed or not, is a sum of count products of one weight per edge, face and
     tetrahedron, which bounds its height (_height_bits), so a fault that
     makes the residues disagree raises ArithmeticError after finitely
     many primes.
@@ -690,7 +780,11 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
 
     allowed = color_range(r, even_only)
     nc = len(allowed)
-    sched = _Schedule(t)
+    sched, forest = _schedule(t)
+    # A flip maps even colors to odd ones at odd r: refined sums keep every
+    # color of every edge.
+    if even_only:
+        forest = frozenset()
     # An unpackable frontier or an unindexable table fails here, before
     # any table is built.
     _key_bits(sched, nc)
@@ -704,14 +798,16 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
     rows = _weight_rows(np, r, allowed)
     if not exact:
         tables = _vector_tables(np, rows, _float_column(reps))
-        per_tri[key] = _run_frontier_vector(sched, reps, tables, row_limit)
+        per_tri[key] = _run_frontier_vector(sched, reps, tables, row_limit, forest=forest)
         return per_tri[key]
     edges, _, (_, face_rows), (_, tet_rows) = rows
     image = None
     for p, omega in _residue_primes(r):
         column = _residue_column(r, reps, p, omega)
         tables = _vector_tables(np, rows, column)
-        grands, count = _run_frontier_vector(sched, reps, tables, row_limit, modulus=p)
+        grands, count = _run_frontier_vector(
+            sched, reps, tables, row_limit, modulus=p, forest=forest
+        )
         if image is None:
             groups = [
                 (edges, len(t.edges)),

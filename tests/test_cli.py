@@ -328,16 +328,38 @@ def test_flag_errors_exit_1(capsys):
     assert run(capsys, "bogus")[0] == 1
 
 
-def test_module_entry_point():
-    # The child imports the quantum3 this process imported, which pytest's
-    # pythonpath setting may have put on sys.path without setting PYTHONPATH.
+def _child_env() -> dict:
+    """The environment of a child process that imports the quantum3 this
+    process imported, which pytest's pythonpath setting may have put on
+    sys.path without setting PYTHONPATH."""
     package_root = str(Path(statesum.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point():
     for module in ("quantum3.cli", "quantum3"):
         proc = subprocess.run(
             [sys.executable, "-m", module, "dedekind", "3", "8"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["sum"] == "1/16"
+
+
+def test_hempel_verdict_comes_last_on_a_shared_pipe():
+    # stdout is block-buffered on a pipe (unless PYTHONUNBUFFERED is set):
+    # the CSV must be flushed before the verdict goes to stderr, so
+    # `2>&1 | tail -n 1` reads the verdict.
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quantum3", "hempel", "0; 7/1, 7/1, 7/-1, 7/-1",
+         "--k", "2", "--r-max", "7"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    )
+    assert proc.returncode == 0
+    lines = proc.stdout.strip().split("\n")
+    assert lines[0] == "r,s,refined,value_A,value_B,equal,int_A,int_B,status"
+    assert lines[-1] == "verdict: distinguishable(7,1)"

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from quantum3 import hempel, seifert
 from quantum3.hempel import (
     HempelReport,
     PeriodicClass,
@@ -18,7 +19,14 @@ from quantum3.hempel import (
     report,
     to_csv,
 )
-from quantum3.seifert import SeifertSymbol, _roots, same_manifold, tv_closed_form
+from quantum3.seifert import (
+    SeifertSymbol,
+    _roots,
+    level_route,
+    same_manifold,
+    tv_closed_form,
+    tv_routed,
+)
 
 
 def sym(text: str) -> SeifertSymbol:
@@ -200,6 +208,28 @@ def test_report_builds_one_root_table_per_ratio_level():
     info = _roots.cache_info()
     assert info.misses == len(ratio_levels)
     assert info.hits >= len(ratio_levels)
+
+
+@pytest.mark.parametrize("text", ["0; 7/1, 7/1, 7/-1, 7/-1", "0; 5/1, 5/1, 5/-2"])
+def test_report_routes_each_level_once(text, monkeypatch):
+    # One route per level serves both tori, and each row holds what
+    # tv_routed gives each side on its own.
+    routes = []
+
+    def counted(symbol, r):
+        routes.append(level_route(symbol, r))
+        return routes[-1]
+
+    with monkeypatch.context() as m:
+        for module in (hempel, seifert):
+            m.setattr(module, "level_route", counted)
+        rep = report(sym(text), 2, 40)
+    assert len(routes) == 38
+    for row in rep.rows:
+        assert row.status == routes[row.r - 3] == level_route(rep.symbol_b, row.r)
+        if row.s is not None:
+            for symbol, value in ((rep.symbol_a, row.value_a), (rep.symbol_b, row.value_b)):
+                assert tv_routed(symbol, row.r, row.s, row.refined) == (value, row.status)
 
 
 def test_integrality_flags_are_relative_for_large_values():

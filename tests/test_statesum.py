@@ -18,6 +18,7 @@ from quantum3.complex3 import (
     color_range,
     disjoint_union,
     enumerate_admissible,
+    faces_completed_at,
     greedy_edge_order,
     is_admissible,
     load_asset,
@@ -453,10 +454,10 @@ def _recorded_sweeps(monkeypatch, step_bytes: int) -> list:
             super().__init__(*args)
             sweeps[-1][3].append(0)
 
-        def add(self, keys, vals, cnts):
+        def add(self, keys, vals, cnts, *mult):
             assert (keys[1:] >= keys[:-1]).all(), "color batch out of key order"
             sweeps[-1][3][-1] += len(keys)
-            super().add(keys, vals, cnts)
+            super().add(keys, vals, cnts, *mult)
 
     def recording_sweep(sched, s_values, tables, row_limit, **kwargs):
         peaks = []
@@ -481,8 +482,8 @@ def _assert_steps_within_limit(sweeps) -> None:
 def test_exact_grand_sum_survives_frontier_splits(monkeypatch):
     t = load_asset("s2xs1")
     want, want_count = dict_frontier_sum(_Schedule(t), 4, False)
-    # A row limit of 6250 splits every sweep, and some parts split again.
-    sweeps = _recorded_sweeps(monkeypatch, 200_000)
+    # A row limit of 625 splits every sweep, and some parts split again.
+    sweeps = _recorded_sweeps(monkeypatch, 20_000)
     grand, count = _grand_sum(t, 4, False, True)
     assert (grand._num, grand._den, count) == (want._num, want._den, want_count)
     # Every prime's sweep split its frontier: a part repeats steps.
@@ -516,6 +517,84 @@ def test_exact_s2xs1_at_r5_is_one():
         exact = tv(t, 5, s, method="exact")
         assert exact.value == 1.0 and exact.raw == 1
         assert exact.coloring_count == count == tv(t, 5, s, method="float").coloring_count
+
+
+@pytest.mark.parametrize("r, count", [(6, 289569095233), (7, 70240028502016)])
+def test_exact_s2xs1_is_one_with_and_without_a_self_flipped_color(r, count):
+    # The gauge keeps the color (r-2)/2 of a forest edge once, undoubled,
+    # at r=6; r=7 has no such color.
+    res = tv(load_asset("s2xs1"), r, 1, method="exact")
+    assert res.raw == 1 and res.value == 1.0
+    assert res.coloring_count == count
+
+
+def _random_admissible(t, r: int, rng: random.Random) -> Coloring:
+    """A seeded random admissible coloring: depth-first over the greedy
+    order, each edge trying its colors in a shuffled order."""
+    order = greedy_edge_order(t)
+    completed = faces_completed_at(t, order)
+    colors = [0] * len(t.edges)
+
+    def advance(p: int) -> bool:
+        if p == len(order):
+            return True
+        for x in rng.sample(color_range(r), r - 1):
+            colors[order[p]] = x
+            faces = (t.face_edges[f] for f in completed[p])
+            if all(admissible_triple(*(colors[e] for e in f), r) for f in faces):
+                if advance(p + 1):
+                    return True
+        return False
+
+    assert advance(0)
+    return Coloring(r, tuple(colors))
+
+
+@pytest.mark.parametrize("name", ["s3_boundary4simplex", "s2xs1"])
+def test_vertex_flip_keeps_coloring_weight(name):
+    # The gauge of the all-color sums: the flip c -> r-2-c of every edge
+    # at one vertex keeps a coloring admissible and its weight exactly.
+    t = load_asset(name)
+    rng = random.Random(f"flip:{name}")
+    for r in (4, 5, 6, 7):
+        for _ in range(4):
+            c = _random_admissible(t, r, rng)
+            w = coloring_weight(t, c)
+            for v in range(t.vertex_count):
+                flipped = Coloring(
+                    r,
+                    tuple(r - 2 - x if v in t.edges[e] else x for e, x in enumerate(c.colors)),
+                )
+                assert is_admissible(t, flipped)
+                assert coloring_weight(t, flipped) == w, (r, v)
+
+
+@pytest.mark.parametrize(
+    "name, components", [("s3_boundary4simplex", 1), ("s2xs1", 1), ("two spheres", 2)]
+)
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_forest_sweep_matches_full_sweep(name, components, r):
+    # One coloring per flip orbit, weighted by the orbit's size, gives the
+    # sums and counts of the sweep over every coloring: the residues of
+    # one prime exactly, the float sums to rounding.
+    import numpy as np
+
+    t = _grand_case(name)
+    sched, forest = statesum._schedule(t)
+    assert len(forest) == t.vertex_count - components
+    reps = evaluation_points(r)
+    rows = statesum._weight_rows(np, r, color_range(r))
+    p, omega = next(_residue_primes(r))
+    tables = statesum._vector_tables(np, rows, statesum._residue_column(r, reps, p, omega))
+    gauged = _run_frontier_vector(sched, reps, tables, 10**9, modulus=p, forest=forest)
+    assert gauged == _run_frontier_vector(sched, reps, tables, 10**9, modulus=p)
+    tables = statesum._vector_tables(np, rows, statesum._float_column(reps))
+    (grands, count), (want, want_count) = (
+        _run_frontier_vector(sched, reps, tables, 10**9, forest=f) for f in (forest, frozenset())
+    )
+    assert count == want_count == gauged[1]
+    for s, value in want.items():
+        assert abs(grands[s] - value) <= 1e-12 * abs(value)
 
 
 def test_residue_tables_reject_asymmetric_weights():
@@ -665,10 +744,10 @@ def test_over_budget_sweep_splits_frontier(monkeypatch):
     direct = {s: tv(t, 5, s, method="float") for s in reps}
 
     splits = {}
-    # The r=5 peak (206592 states) passes the row limit of either step
-    # size (41666 and 4166 rows), and at both the parts of a split pass it
-    # again and are split anew.
-    for step_bytes in (2_000_000, 200_000):
+    # The children of the r=5 peak (1,800 states of 4 colors) pass the
+    # row limit of either step size (4,166 and 416 rows), and at both the
+    # parts of a split pass it again and are split anew.
+    for step_bytes in (200_000, 20_000):
         sweeps = _recorded_sweeps(monkeypatch, step_bytes)
         split = {s: tv(t, 5, s, method="float") for s in reps}
         ((_, steps, peaks, _),) = sweeps
@@ -678,19 +757,22 @@ def test_over_budget_sweep_splits_frontier(monkeypatch):
         for s in reps:
             assert abs(split[s].raw - direct[s].raw) <= 1e-12 * abs(direct[s].raw)
             assert split[s].coloring_count == direct[s].coloring_count
-    assert 0 < splits[2_000_000] < splits[200_000]
+    assert 0 < splits[200_000] < splits[20_000]
 
 
-def _float_sweep(t, r: int, row_limit: int):
-    """One all-color float sweep over t at row_limit: (grand sums, coloring
-    count, live states after every step of every part)."""
+def _float_sweep(t, r: int, row_limit: int, forest=frozenset()):
+    """One all-color float sweep over t at row_limit with the given forest
+    edges: (grand sums, coloring count, live states after every step of
+    every part)."""
     import numpy as np
 
     reps = evaluation_points(r)
     rows = statesum._weight_rows(np, r, color_range(r))
     tables = statesum._vector_tables(np, rows, statesum._float_column(reps))
     peaks = []
-    grands, count = _run_frontier_vector(_Schedule(t), reps, tables, row_limit, peak_out=peaks)
+    grands, count = _run_frontier_vector(
+        _Schedule(t), reps, tables, row_limit, peak_out=peaks, forest=forest
+    )
     return grands, count, peaks
 
 
@@ -739,6 +821,28 @@ def test_count_guard_at_the_merge_of_split_parts():
     for row_limit in (10**9, 100):
         with pytest.raises(ArithmeticError, match=r"passes int64 at step \d+"):
             _float_sweep(m, 5, row_limit)
+
+
+def test_count_guard_before_doubling():
+    # Counts double at a forest edge's colors, after the merge's exact
+    # check, so a doubling that passes int64 raises instead of wrapping.
+    # Free edges (in no face) come last in the greedy order; passed as
+    # forest edges at r=3 each keeps its one color 0, doubled, so 58 of
+    # them give the sphere's 16 colorings 2^62 in all, which fit int64,
+    # and 59 give 2^63 at the last doubling, which do not.  Free edges
+    # are no vertex flip's gauge, so only the counts are checked.
+    t = boundary_4_simplex()
+    for k in (58, 59):
+        m = SimpleNamespace(
+            edges=list(t.edges) + [None] * k, face_edges=t.face_edges, tet_edges=t.tet_edges
+        )
+        forest = frozenset(range(len(t.edges), len(m.edges)))
+        for row_limit in (10**9, 100):
+            if k == 58:
+                assert _float_sweep(m, 3, row_limit, forest)[1] == 2**62
+                continue
+            with pytest.raises(ArithmeticError, match=r"passes int64 at step 68 "):
+                _float_sweep(m, 3, row_limit, forest)
 
 
 @pytest.mark.parametrize("r", [4, 5])
