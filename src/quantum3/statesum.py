@@ -16,15 +16,15 @@ the exponential stream to a frontier of active edges.  One vectorized
 frontier engine does this over int64 keys, with one value column per
 evaluation point, and one function (_grand_sum) with one cache serves
 both arithmetic domains.  It builds the weights once per grand sum and
-lays each domain's values out in the same tables: dense over the face
-color triples, compact (one row per admissible color tuple) for the
-tetrahedra.  The float path carries float64 values at zeta = e^(i pi s/r),
-where every weight is real: each table entry is checked once for a
-vanishing imaginary part.  The exact path carries int64 residues modulo
-primes p = 1 (mod 2r) at the roots of the coefficient ring mod p, one
-prime per sweep, and recovers the grand sum as one CycloNum by CRT and
-rational reconstruction (see cyclo._ResidueImage); it is evaluated once
-per s.
+lays each domain's values out in the same tables, faces and tetrahedra
+alike compact: one row per admissible color tuple, behind an int32 row
+map that is -1 where a tuple is inadmissible.  The float path carries
+float64 values at zeta = e^(i pi s/r), where every weight is real: each
+table entry is checked once for a vanishing imaginary part.  The exact
+path carries int64 residues modulo primes p = 1 (mod 2r) at the roots of
+the coefficient ring mod p, one prime per sweep, and recovers the grand
+sum as one CycloNum by CRT and rational reconstruction (see
+cyclo._ResidueImage); it is evaluated once per s.
 
 All-color sums are gauge-fixed.  The flip of a vertex v replaces the
 color c of every edge at v by r-2-c; it keeps every face admissible and
@@ -247,8 +247,9 @@ def _key_bits(sched: _Schedule, n_colors: int) -> int:
 def _sort_reduce(np, keys, vals, cnts, modulus):
     """Rows sorted by key, rows with equal keys summed in input order
     (and reduced mod modulus, unless it is None).  Keys that arrive in
-    non-decreasing order, as every color batch of a step does, are summed
-    where they lie, with no sort.
+    non-decreasing order, as every color batch of a frontier step does,
+    are summed where they lie, with no sort; the engine reduces each
+    batch so, and _merge the concatenated runs of a step or a split.
 
     Pass freshly made arrays, held by no other name: each input is then
     freed as soon as its sorted or reduced form exists."""
@@ -286,9 +287,11 @@ def _merge(
     np, key_runs: list, val_runs: list, cnt_runs: list, modulus, step: int, mults=None
 ):
     """The rows of the runs merged into one frontier by _sort_reduce; the
-    lists are emptied.  mults, when given, holds one count multiplier per
-    run (1, or 2 for a doubled color of a forest edge, see
-    _run_frontier_vector), applied here.
+    lists are emptied.  The runs are a step's reduced color batches, or
+    the parts of a split (see _run_frontier_vector); there is at least
+    one, and empty runs are fine.  mults, when given, holds one count
+    multiplier per run (1, or 2 for a doubled color of a forest edge),
+    applied here.
 
     This is the engine's one count check.  A child's count is its
     parent's count times its color's multiplier, and a color batch sums
@@ -315,57 +318,12 @@ def _merge(
     )
 
 
-class _SortedAccumulator:
-    """The transitions of one frontier step, merged once.
-
-    add() sums each batch's rows with equal keys (a batch arrives sorted
-    by key, see _run_frontier_vector), so every batch is kept as a sorted
-    run with unique keys.  flush()
-    concatenates the runs, dropping each list of runs as soon as it is
-    copied, then does one stable sort (timsort merges the presorted runs)
-    and one reduceat.  Value columns of dtype int64 are residues, reduced
-    mod modulus after every sum."""
-
-    def __init__(self, np_mod, ns: int, dtype, modulus: int | None) -> None:
-        self._np = np_mod
-        self._ns = ns
-        self._dtype = dtype
-        self._modulus = modulus
-        self._keys: list = []
-        self._vals: list = []
-        self._cnts: list = []
-        self._mults: list[int] = []
-
-    def add(self, keys, vals, cnts, mult: int = 1) -> None:
-        """One color batch; its counts are multiplied by mult at the merge."""
-        keys, vals, cnts = _sort_reduce(self._np, keys, vals, cnts, self._modulus)
-        self._keys.append(keys)
-        self._vals.append(vals)
-        self._cnts.append(cnts)
-        self._mults.append(mult)
-
-    def flush(self, step: int):
-        """(keys, vals, cnts) of the step: sorted unique int64 keys, an
-        (n, ns) value array and int64 coloring counts (see _merge)."""
-        np = self._np
-        if not self._keys:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty((0, self._ns), dtype=self._dtype),
-                np.empty(0, dtype=np.int64),
-            )
-        return _merge(
-            np, self._keys, self._vals, self._cnts, self._modulus, step, self._mults
-        )
-
-
 def _weight_rows(np, r: int, colors: tuple[int, ...]):
     """The vector engine's weights as CycloNums, by color-index digits.
 
-    Returns the edge weights per color index, the face admissibility
-    mask over the nc^3 digit triples, and for faces and tetrahedra the
-    flat positions of the admissible digit tuples (over nc^3 and nc^6)
-    with their weights, in the same order."""
+    Returns the edge weights per color index, and for faces and
+    tetrahedra the flat positions of the admissible digit tuples (over
+    nc^3 and nc^6) with their weights, in the same order."""
     from itertools import product as iproduct
 
     nc = len(colors)
@@ -387,30 +345,34 @@ def _weight_rows(np, r: int, colors: tuple[int, ...]):
         return flat, [weight(*(colors[d] for d in tup), r) for tup in digits]
 
     edges = [_edge_weight(i, r) for i in colors]
-    return edges, face_adm.ravel(), rows(face_adm, _face_weight), rows(tet_adm, _tet_weight)
+    return edges, rows(face_adm, _face_weight), rows(tet_adm, _tet_weight)
 
 
 def _vector_tables(np, rows, column):
     """Lookup tables for the vector engine from the weight rows of
-    _weight_rows, indexed by color-index digits: (edge_tab, face_adm,
-    face_tab, tet_tab, tet_row).  face_tab is dense over the nc^3 digit
-    triples and zero where a triple is inadmissible; tet_tab holds one row
-    per admissible digit tuple of a tetrahedron, and tet_row maps the nc^6
-    digit tuples to those rows as int32, -1 where a tuple is inadmissible
-    (so tet_row >= 0 is the tetrahedron's admissibility mask).  column
-    maps a list of weights to an (n, ns) array, one row per weight:
-    float64 values at zeta = e^(i pi s/r) (_float_column), or int64
-    residues (_residue_column); each checks every entry it makes.  Its
-    edge table gives every table's ns and dtype (no weight list is empty:
-    the all-zero tuple is always admissible)."""
-    edges, face_adm, (face_flat, face_weights), (tet_flat, tet_weights) = rows
+    _weight_rows, indexed by color-index digits: (edge_tab, face_tab,
+    face_row, tet_tab, tet_row).  face_tab and tet_tab hold one row per
+    admissible digit tuple of a face and of a tetrahedron; face_row and
+    tet_row map the nc^3 and nc^6 digit tuples to those rows as int32, -1
+    where a tuple is inadmissible (so rows >= 0 is the admissibility
+    mask).  column maps a list of weights to an (n, ns) array, one row
+    per weight: float64 values at zeta = e^(i pi s/r) (_float_column), or
+    int64 residues (_residue_column); each checks every entry it makes."""
+    edges, (face_flat, face_weights), (tet_flat, tet_weights) = rows
     nc = len(edges)
-    edge_tab = column(edges)
-    face_tab = np.zeros((nc**3, edge_tab.shape[1]), dtype=edge_tab.dtype)
-    face_tab[face_flat] = column(face_weights)
-    tet_row = np.full(nc**6, -1, dtype=np.int32)
-    tet_row[tet_flat] = np.arange(len(tet_flat), dtype=np.int32)
-    return edge_tab, face_adm, face_tab, column(tet_weights), tet_row
+
+    def row_map(flat, size):
+        out = np.full(size, -1, dtype=np.int32)
+        out[flat] = np.arange(len(flat), dtype=np.int32)
+        return out
+
+    return (
+        column(edges),
+        column(face_weights),
+        row_map(face_flat, nc**3),
+        column(tet_weights),
+        row_map(tet_flat, nc**6),
+    )
 
 
 def _float_column(s_values: tuple[int, ...]):
@@ -488,16 +450,21 @@ def _run_frontier_vector(
     the new edge's digit is inserted at its rank j as
     ((k >> j) << (j + 1)) | (k & low j) | (x << j), in digits.  Both maps
     keep the order of keys, so each color of the sorted parents gives a
-    batch of children with non-decreasing keys, which _SortedAccumulator
-    sums with no sort, and the step ends with one merge
-    (_SortedAccumulator.flush).  Table indices are int32: each digit is
-    extracted once per step, and a face or tetrahedron index is built in
-    one array from the digits (_grand_sum keeps nc^6 within int32).  A
-    completing tetrahedron reads its rows from tet_row (its admissibility
-    mask) and its values from tet_tab times the weights of the faces it
-    absorbs (_Schedule.absorbed), one table per pattern of absorbed face
-    slots, built once per sweep; only the loose faces are read from the
-    face tables.
+    batch of children with non-decreasing keys, which _sort_reduce sums
+    with no sort, and the step ends with one _merge of its batches, as a
+    split ends with one _merge of its parts.
+
+    Each step makes one list of checks: the loose faces, then the
+    completing tetrahedra.  A check reads a row map (face_row or tet_row)
+    and a value table: face_tab for a loose face, and for a tetrahedron
+    tet_tab times the weights of the faces it absorbs
+    (_Schedule.absorbed), one table per pattern of absorbed face slots,
+    built once per sweep.  Per color, one gather of a check's row map
+    gives both its admissibility mask (rows >= 0, combined over the
+    checks in place) and the rows its values are read from.  Table
+    indices are int32: each digit is extracted once per step, and a
+    check's index is built in one array from the digits (_grand_sum keeps
+    nc^6 within int32).
 
     A step never builds more than row_limit rows.  A parent has at most
     nc children, so two or more parents whose children could pass the
@@ -523,7 +490,7 @@ def _run_frontier_vector(
     holds the one exact count check)."""
     import numpy as np
 
-    edge_tab, face_adm, face_tab, tet_tab, tet_row = tables
+    edge_tab, face_tab, face_row, tet_tab, tet_row = tables
     dtype = edge_tab.dtype
     nc = len(edge_tab)
     # A forest edge takes only the colors x with 2x <= nc - 1 = r - 2; an x
@@ -553,15 +520,11 @@ def _run_frontier_vector(
         if absorbed not in fused_tabs:
             out = tet_tab
             for a, b, c in absorbed:
-                out = out * face_tab[(tet_digits[a] * nc + tet_digits[b]) * nc + tet_digits[c]]
+                face = (tet_digits[a] * nc + tet_digits[b]) * nc + tet_digits[c]
+                out = out * face_tab[face_row[face]]
                 reduce(out)
             fused_tabs[absorbed] = out
         return fused_tabs[absorbed]
-
-    def stride(check, e) -> int:
-        """The stride of new edge e in a check's table index base + x * stride:
-        the place values of every slot that e fills, summed."""
-        return sum(nc ** (len(check) - 1 - i) for i, eid in enumerate(check) if eid == e)
 
     def sweep(p0: int, frontier: list, stop: int):
         """The rows [keys, vals, cnts] of frontier, which hold the states
@@ -614,44 +577,40 @@ def _run_frontier_vector(
                 kept <<= new_shift + bits
                 kept |= low
                 del low
-            loose = sched.loose_faces[p]
-            tets = sched.tet_checks[p]
-            face_strides = [stride(f, e) for f in loose]
-            tet_strides = [stride(slots, e) for slots in tets]
-            tet_tabs = [fused(a) for a in sched.absorbed[p]]
-            acc = _SortedAccumulator(np, ns, dtype, modulus)
+            key_runs, val_runs, cnt_runs, mults = [], [], [], []
             digits: dict[int, object] = {}
 
-            def flat_base(check):
-                out = np.zeros(len(keys), dtype=np.int32)
-                for eid in check:
-                    out *= nc
+            def check(ids, tab, row_map):
+                """(tab, row_map, base, stride) of the check on the edges
+                ids: color x of e reads row_map at base + x * stride, the
+                stride being the place values of every slot e fills."""
+                base = np.zeros(len(keys), dtype=np.int32)
+                stride = 0
+                for eid in ids:
+                    base *= nc
+                    stride *= nc
                     if eid == e:
+                        stride += 1
                         continue
                     if eid not in digits:
                         digits[eid] = ((keys >> bits * rank[eid]) & digit_mask).astype(np.int32)
-                    out += digits[eid]
-                return out
+                    base += digits[eid]
+                return tab, row_map, base, stride
 
-            face_base = [flat_base(f) for f in loose]
-            tet_base = [flat_base(slots) for slots in tets]
+            checks = [check(f, face_tab, face_row) for f in sched.loose_faces[p]]
+            checks += [
+                check(slots, fused(a), tet_row)
+                for slots, a in zip(sched.tet_checks[p], sched.absorbed[p])
+            ]
             del digits
             for x, edge_row, mult in gauged if e in forest else colors:
-                face_idx = [b + x * w for b, w in zip(face_base, face_strides)]
-                tet_rows = [tet_row.take(b + x * w) for b, w in zip(tet_base, tet_strides)]
-                masks = chain(
-                    (face_adm.take(fi) for fi in face_idx), (rows >= 0 for rows in tet_rows)
-                )
+                rows = [row_map.take(base + x * w) for _, row_map, base, w in checks]
+                masks = (idx >= 0 for idx in rows)
                 mask = next(masks, None)
                 for adm in masks:
                     mask &= adm
-                sel = None
-                if mask is not None:
-                    sel = np.flatnonzero(mask)
-                    if not len(sel):
-                        continue
-                    if len(sel) == len(mask):
-                        sel = None
+                sel = None if mask is None else np.flatnonzero(mask)
+                del mask
 
                 def pick(a):
                     return a if sel is None else a.take(sel, axis=0)
@@ -660,8 +619,7 @@ def _run_frontier_vector(
                 # fixes the float rounding; one gathered factor at a time,
                 # each residue product reduced before the next.
                 factors = chain(
-                    (face_tab.take(pick(fi), axis=0) for fi in face_idx),
-                    (tab.take(pick(rows), axis=0) for tab, rows in zip(tet_tabs, tet_rows)),
+                    (tab.take(pick(idx), axis=0) for (tab, *_), idx in zip(checks, rows)),
                     (pick(vals),),
                 )
                 new_vals = next(factors) * edge_row
@@ -670,14 +628,21 @@ def _run_frontier_vector(
                     new_vals *= fac
                     del fac
                 reduce(new_vals)
-                del factors, face_idx, tet_rows
+                del factors, rows
                 child = pick(kept)
                 if new_shift is not None:
                     child = child | np.int64(x << new_shift)
-                acc.add(child, new_vals, pick(cnts), mult)
-                del child, new_vals
-            del keys, vals, cnts, kept, face_base, tet_base
-            keys, vals, cnts = acc.flush(p)
+                # A batch whose children all fail a check is an empty run.
+                child, new_vals, child_cnts = _sort_reduce(
+                    np, child, new_vals, pick(cnts), modulus
+                )
+                key_runs.append(child)
+                val_runs.append(new_vals)
+                cnt_runs.append(child_cnts)
+                mults.append(mult)
+                del child, new_vals, child_cnts
+            del keys, vals, cnts, kept, checks
+            keys, vals, cnts = _merge(np, key_runs, val_runs, cnt_runs, modulus, p, mults)
             if peak_out is not None:
                 peak_out.append(len(keys))
             p += 1
@@ -800,7 +765,7 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
         tables = _vector_tables(np, rows, _float_column(reps))
         per_tri[key] = _run_frontier_vector(sched, reps, tables, row_limit, forest=forest)
         return per_tri[key]
-    edges, _, (_, face_rows), (_, tet_rows) = rows
+    edges, (_, face_rows), (_, tet_rows) = rows
     image = None
     for p, omega in _residue_primes(r):
         column = _residue_column(r, reps, p, omega)

@@ -32,10 +32,11 @@ from quantum3.statesum import (
     _face_weight,
     _grand_sum,
     _key_bits,
+    _merge,
     _prefactor,
     _run_frontier_vector,
     _Schedule,
-    _SortedAccumulator,
+    _sort_reduce,
     _tet_weight,
     coloring_weight,
     tv,
@@ -445,19 +446,30 @@ def _recorded_sweeps(monkeypatch, step_bytes: int) -> list:
     """Run later sums afresh with steps of step_bytes and record each
     sweep as (row_limit, steps, peaks, built): the schedule's step count,
     the live states after every step of every part, and the rows that
-    each step passed to _SortedAccumulator.add.  Every batch passed to add
-    must arrive with non-decreasing keys."""
+    each step built, summed over its color batches before their
+    _sort_reduce.  Every color batch must arrive with non-decreasing
+    keys.  A step's batches go to one _merge; the _sort_reduce calls made
+    inside a _merge are not batches, and a split's merge-back, which
+    follows no batch, records no step."""
     sweeps = []
+    batches = []
+    merging = []
 
-    class RecordingAccumulator(_SortedAccumulator):
-        def __init__(self, *args):
-            super().__init__(*args)
-            sweeps[-1][3].append(0)
-
-        def add(self, keys, vals, cnts, *mult):
+    def recording_reduce(np, keys, *rest):
+        if not merging:
             assert (keys[1:] >= keys[:-1]).all(), "color batch out of key order"
-            sweeps[-1][3][-1] += len(keys)
-            super().add(keys, vals, cnts, *mult)
+            batches.append(len(keys))
+        return _sort_reduce(np, keys, *rest)
+
+    def recording_merge(*args, **kwargs):
+        if batches:
+            sweeps[-1][3].append(sum(batches))
+            batches.clear()
+        merging.append(True)
+        try:
+            return _merge(*args, **kwargs)
+        finally:
+            merging.pop()
 
     def recording_sweep(sched, s_values, tables, row_limit, **kwargs):
         peaks = []
@@ -466,7 +478,8 @@ def _recorded_sweeps(monkeypatch, step_bytes: int) -> list:
             sched, s_values, tables, row_limit, peak_out=peaks, **kwargs
         )
 
-    monkeypatch.setattr(statesum, "_SortedAccumulator", RecordingAccumulator)
+    monkeypatch.setattr(statesum, "_sort_reduce", recording_reduce)
+    monkeypatch.setattr(statesum, "_merge", recording_merge)
     monkeypatch.setattr(statesum, "_run_frontier_vector", recording_sweep)
     monkeypatch.setattr(statesum, "_GRAND_CACHE", WeakKeyDictionary())
     monkeypatch.setattr(statesum, "_STEP_BYTES", step_bytes)
@@ -499,7 +512,7 @@ def test_color_batches_arrive_sorted(monkeypatch, name, r, step_bytes):
     # Retirement-ordered key digits keep every color batch of a step in
     # key order, in both domains, unsplit and at a 4,006-row limit (4
     # evaluation columns at r=5 make 48-byte rows).  _recorded_sweeps
-    # asserts the order at every add.
+    # asserts the order of every batch.
     t = load_asset(name)
     for exact in (False, True):
         sweeps = _recorded_sweeps(monkeypatch, step_bytes)
@@ -618,7 +631,8 @@ def test_float_tables_reject_unreal_weights():
     reps = (1, 2)
     rows = statesum._weight_rows(np, 3, (0, 1))
     tables = statesum._vector_tables(np, rows, statesum._float_column(reps))
-    assert all(tab.dtype == np.float64 for tab in (tables[0], tables[2], tables[3]))
+    edge_tab, face_tab, _, tet_tab, _ = tables
+    assert all(tab.dtype == np.float64 for tab in (edge_tab, face_tab, tet_tab))
     edges, *rest = rows
     bent = ([CycloNum.zeta_pow(3, 1)] + edges[1:], *rest)
     with pytest.raises(ArithmeticError, match="not real at s=1"):
@@ -626,25 +640,32 @@ def test_float_tables_reject_unreal_weights():
 
 
 def test_tetrahedron_table_is_compact():
-    # One table row per admissible digit tuple, and the int32 row map is
-    # -1 exactly where one of the tetrahedron's four faces is inadmissible.
+    # Tetrahedra and faces alike: one table row per admissible digit
+    # tuple, and the int32 row map is -1 exactly where one of the
+    # tetrahedron's four faces, or the face, is inadmissible.
     import numpy as np
     from itertools import product
 
     r = 6
     colors = color_range(r)
+    reps = evaluation_points(r)
     rows = statesum._weight_rows(np, r, colors)
-    _, _, _, tet_tab, tet_row = statesum._vector_tables(
-        np, rows, statesum._float_column(evaluation_points(r))
+    _, face_tab, face_row, tet_tab, tet_row = statesum._vector_tables(
+        np, rows, statesum._float_column(reps)
     )
-    assert tet_tab.shape == (329, len(evaluation_points(r)))
-    assert tet_row.dtype == np.int32
-    want = [
-        all(admissible_triple(*tri, r) for tri in ((i, j, k), (i, m, n), (j, l, n), (k, l, m)))
-        for i, j, k, l, m, n in product(colors, repeat=6)
-    ]
-    assert ((tet_row >= 0) == np.array(want)).all()
-    assert sorted(tet_row[tet_row >= 0].tolist()) == list(range(329))
+    tet_faces = ((0, 1, 2), (0, 4, 5), (1, 3, 5), (2, 3, 4))
+    for tab, row_map, size, slots, faces in (
+        (tet_tab, tet_row, 329, 6, tet_faces),
+        (face_tab, face_row, 35, 3, ((0, 1, 2),)),
+    ):
+        assert tab.shape == (size, len(reps))
+        assert row_map.dtype == np.int32
+        want = [
+            all(admissible_triple(*(tup[q] for q in tri), r) for tri in faces)
+            for tup in product(colors, repeat=slots)
+        ]
+        assert ((row_map >= 0) == np.array(want)).all()
+        assert sorted(row_map[row_map >= 0].tolist()) == list(range(size))
 
 
 def test_weight_rows_built_once_per_exact_sum(monkeypatch):
@@ -790,6 +811,21 @@ def test_split_parts_merge_back(name, r, row_limit):
     assert len(split_peaks) > len(whole_peaks) == len(_Schedule(t).order)
     assert sum(split_peaks) <= 1.05 * sum(whole_peaks)
     assert split_count == whole_count
+    for s, value in whole.items():
+        assert abs(split[s] - value) <= 1e-12 * abs(value)
+
+
+def test_split_parts_whose_children_all_fail_their_checks():
+    # At a 30-row limit the gauged r=5 sweep splits down to parts so
+    # small that every child of some of them fails a face or tetrahedron
+    # check: such a part ends with no rows, records its 0 live states,
+    # and adds nothing at the merge-back.
+    t = load_asset("s2xs1")
+    _, forest = statesum._schedule(t)
+    whole, whole_count, _ = _float_sweep(t, 5, 10**9, forest)
+    split, split_count, split_peaks = _float_sweep(t, 5, 30, forest)
+    assert 0 in split_peaks
+    assert split_count == whole_count == 601_550_848
     for s, value in whole.items():
         assert abs(split[s] - value) <= 1e-12 * abs(value)
 
