@@ -343,7 +343,14 @@ def quantum_factorial(n: int, r: int) -> CycloNum:
 
 @lru_cache(maxsize=None)
 def _inv_quantum_factorial(n: int, r: int) -> CycloNum:
-    return quantum_factorial(n, r).inverse()
+    """[n]!^-1 for 0 <= n <= r-1.  One certified CycloNum.inverse per
+    level, of [r-1]!; the rest follow downward by exact products,
+    [n]!^-1 = [n+1]!^-1 [n+1]."""
+    if not 0 <= n <= r - 1:
+        raise ValueError(f"_inv_quantum_factorial requires 0 <= n <= r-1, got n={n}, r={r}")
+    if n == r - 1:
+        return quantum_factorial(n, r).inverse()
+    return _inv_quantum_factorial(n + 1, r) * quantum_int(n + 1, r)
 
 
 # Residue primes stay below 2^31, so the product of two residues fits int64.

@@ -18,12 +18,18 @@ evaluation point, and one function (_grand_sum) with one cache serves
 both arithmetic domains.  It builds the weights once per grand sum and
 lays each domain's values out in the same tables, faces and tetrahedra
 alike compact: one row per admissible color tuple, behind an int32 row
-map that is -1 where a tuple is inadmissible.  The float path carries
-float64 values at zeta = e^(i pi s/r), where every weight is real: each
-table entry is checked once for a vanishing imaginary part.  The exact
-path carries int64 residues modulo primes p = 1 (mod 2r) at the roots of
-the coefficient ring mod p, one prime per sweep, and recovers the grand
-sum as one CycloNum by CRT and rational reconstruction (see
+map that is -1 where a tuple is inadmissible.  Weights are built per
+class, not per tuple: a face's class is its sorted colors, and a
+tetrahedron's is the pair of multisets of its face and square
+half-sums, which the tetrahedral and Regge symmetries keep and on which
+its z-sum alone depends (_racah; 66 classes for 784 tetrahedra at r=7).
+Each class's weight is evaluated and checked once, and every table
+entry is a copy of a checked value.  The float path carries float64
+values at zeta = e^(i pi s/r), where every weight is real: each class
+value is checked for a vanishing imaginary part.  The exact path carries
+int64 residues modulo primes p = 1 (mod 2r) at the roots of the
+coefficient ring mod p, one prime per sweep, and recovers the grand sum
+as one CycloNum by CRT and rational reconstruction (see
 cyclo._ResidueImage); it is evaluated once per s.
 
 All-color sums are gauge-fixed.  The flip of a vertex v replaces the
@@ -107,14 +113,35 @@ def _face_weight(i: int, j: int, k: int, r: int) -> CycloNum:
     return -out if s % 2 else out
 
 
-@lru_cache(maxsize=None)
+# The slots (i, j, k, l, m, n) = (0..5) of a tetrahedron's four faces,
+# (i, j, k), (i, m, n), (j, l, n) and (k, l, m), and of its three squares,
+# the opposite pairs (i, l), (j, m), (k, n) taken two at a time (written
+# out in _tet_weight, which runs once per coloring in coloring_weight).
+_TET_FACES = ((0, 1, 2), (0, 4, 5), (1, 3, 5), (2, 3, 4))
+_TET_SQUARES = ((0, 1, 3, 4), (0, 2, 3, 5), (1, 2, 4, 5))
+
+
 def _tet_weight(i: int, j: int, k: int, l: int, m: int, n: int, r: int) -> CycloNum:
+    """The weight of the tetrahedron with slot colors (i, j, k, l, m, n):
+    each face is checked for admissibility, and the z-sum is _racah of the
+    sorted face and square half-sums, which the tetrahedral and Regge
+    symmetries keep, so all tuples of one class share one evaluation."""
     faces = ((i, j, k), (i, m, n), (j, l, n), (k, l, m))
     for tri in faces:
         if not admissible_triple(*tri, r):
             raise ValueError(f"tetra face colors {tri} not admissible at r={r}")
-    halves = [(a + b + c) // 2 for (a, b, c) in faces]
-    squares = [(i + j + l + m) // 2, (i + k + l + n) // 2, (j + k + m + n) // 2]
+    halves = sorted((a + b + c) // 2 for (a, b, c) in faces)
+    squares = sorted([(i + j + l + m) // 2, (i + k + l + n) // 2, (j + k + m + n) // 2])
+    return _racah(tuple(halves), tuple(squares), r)
+
+
+@lru_cache(maxsize=None)
+def _racah(halves: tuple[int, ...], squares: tuple[int, ...], r: int) -> CycloNum:
+    """The alternating z-sum of [z+1]! over the products of [z - T_a]! and
+    [Q_b - z]!, for the face half-sums T_a (halves) and the square
+    half-sums Q_b (squares) of an admissible tetrahedron, z from max T_a
+    to min(min Q_b, r-2).  The sum depends on the two multisets alone, so
+    callers pass both sorted, and it is evaluated once per class."""
     out = CycloNum.zero(r)
     for z in range(max(halves), min(min(squares), r - 2) + 1):
         term = quantum_factorial(z + 1, r)
@@ -211,8 +238,7 @@ class _Schedule:
             absorbed = []
             for slots in tets:
                 mine = []
-                # The slot triples of the four faces (complex3's docstring).
-                for tri in ((0, 1, 2), (0, 4, 5), (1, 3, 5), (2, 3, 4)):
+                for tri in _TET_FACES:
                     edges = sorted(slots[q] for q in tri)
                     face = next((f for f in loose if sorted(f) == edges), None)
                     if face is not None:
@@ -322,8 +348,12 @@ def _weight_rows(np, r: int, colors: tuple[int, ...]):
     """The vector engine's weights as CycloNums, by color-index digits.
 
     Returns the edge weights per color index, and for faces and
-    tetrahedra the flat positions of the admissible digit tuples (over
-    nc^3 and nc^6) with their weights, in the same order."""
+    tetrahedra (flat positions, class index, class weights): the flat
+    positions of the admissible digit tuples (over nc^3 and nc^6), for
+    each the index of its class, and one weight per class.  A face's
+    class is its sorted colors, a tetrahedron's its sorted face and
+    square half-sums (_racah), so each class weight is built once: 66
+    tetrahedron classes for 784 tuples at r=7, 457 for 10,648 at r=11."""
     from itertools import product as iproduct
 
     nc = len(colors)
@@ -339,13 +369,27 @@ def _weight_rows(np, r: int, colors: tuple[int, ...]):
         & face_adm[None, None, :, :, :, None]
     )
 
-    def rows(adm, weight):
+    def rows(adm, key, weight):
         flat = np.flatnonzero(adm)
-        digits = zip(*(d.tolist() for d in np.unravel_index(flat, adm.shape)))
-        return flat, [weight(*(colors[d] for d in tup), r) for tup in digits]
+        c = np.asarray(colors)[np.stack(np.unravel_index(flat, adm.shape), axis=1)]
+        classes, index = np.unique(key(c), axis=0, return_inverse=True)
+        # numpy 2.0 shapes the inverse of an axis=0 unique; flatten it.
+        return flat, index.reshape(-1), [weight(cls) for cls in classes.tolist()]
+
+    def tet_key(c):
+        """_tet_weight's sorted half-sums, row by row."""
+
+        def half_sums(groups):
+            return np.sort(np.stack([c[:, g].sum(axis=1) // 2 for g in groups], axis=1), axis=1)
+
+        return np.concatenate((half_sums(_TET_FACES), half_sums(_TET_SQUARES)), axis=1)
 
     edges = [_edge_weight(i, r) for i in colors]
-    return edges, rows(face_adm, _face_weight), rows(tet_adm, _tet_weight)
+    return (
+        edges,
+        rows(face_adm, lambda c: np.sort(c, axis=1), lambda tri: _face_weight(*tri, r)),
+        rows(tet_adm, tet_key, lambda key: _racah(tuple(key[:4]), tuple(key[4:]), r)),
+    )
 
 
 def _vector_tables(np, rows, column):
@@ -357,8 +401,10 @@ def _vector_tables(np, rows, column):
     where a tuple is inadmissible (so rows >= 0 is the admissibility
     mask).  column maps a list of weights to an (n, ns) array, one row
     per weight: float64 values at zeta = e^(i pi s/r) (_float_column), or
-    int64 residues (_residue_column); each checks every entry it makes."""
-    edges, (face_flat, face_weights), (tet_flat, tet_weights) = rows
+    int64 residues (_residue_column); each checks every entry it makes.
+    column runs once per class of faces and of tetrahedra, and every
+    table row is a copy of its class's checked row."""
+    edges, (face_flat, face_class, face_weights), (tet_flat, tet_class, tet_weights) = rows
     nc = len(edges)
 
     def row_map(flat, size):
@@ -368,9 +414,9 @@ def _vector_tables(np, rows, column):
 
     return (
         column(edges),
-        column(face_weights),
+        column(face_weights)[face_class],
         row_map(face_flat, nc**3),
-        column(tet_weights),
+        column(tet_weights)[tet_class],
         row_map(tet_flat, nc**6),
     )
 
@@ -716,7 +762,8 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
     the forest, refined ones run with none.
 
     Float: one sweep carries every evaluation class as a float64 column
-    (_float_column checks every table entry for reality), so the grand
+    (_float_column checks every weight class for reality, and each table
+    entry copies a checked value), so the grand
     sum is a dict from each point s of cyclo.evaluation_points (the
     refined ones when even_only) to its real value.
 
@@ -765,7 +812,9 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
         tables = _vector_tables(np, rows, _float_column(reps))
         per_tri[key] = _run_frontier_vector(sched, reps, tables, row_limit, forest=forest)
         return per_tri[key]
-    edges, (_, face_rows), (_, tet_rows) = rows
+    # The class weights hold every distinct weight of the tuples, so they
+    # give _height_bits the same lcm and maximum.
+    edges, (*_, face_weights), (*_, tet_weights) = rows
     image = None
     for p, omega in _residue_primes(r):
         column = _residue_column(r, reps, p, omega)
@@ -776,8 +825,8 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
         if image is None:
             groups = [
                 (edges, len(t.edges)),
-                (face_rows, len(t.face_edges)),
-                (tet_rows, len(t.tet_edges)),
+                (face_weights, len(t.face_edges)),
+                (tet_weights, len(t.tet_edges)),
             ]
             image = _ResidueImage(r, _height_bits(r, groups, count))
         value = image.add(p, omega, [grands[min(s, 2 * r - s)] for s in _root_exponents(r)])

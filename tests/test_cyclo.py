@@ -114,6 +114,17 @@ def test_quantum_factorial_recurrence():
             assert quantum_factorial(n, r) == quantum_factorial(n - 1, r) * quantum_int(n, r)
 
 
+def test_inverse_factorials_from_one_inverse_per_level():
+    # Only [r-1]! is inverted; the rest come down by [n]!^-1 = [n+1]!^-1 [n+1].
+    # Odd r covers the product of two cyclotomic fields.
+    for r in range(3, 14):
+        for n in range(r):
+            assert cyclo._inv_quantum_factorial(n, r) * quantum_factorial(n, r) == 1, (n, r)
+        for n in (-1, r):
+            with pytest.raises(ValueError):
+                cyclo._inv_quantum_factorial(n, r)
+
+
 def test_quantum_integers_invertible_below_r():
     for r in (3, 4, 5, 6, 7):
         for n in range(1, r):

@@ -25,7 +25,7 @@ from quantum3.complex3 import (
     normal_surface_euler_parity,
     split_coloring,
 )
-from quantum3.cyclo import CycloNum, _residue_primes, evaluation_points
+from quantum3.cyclo import CycloNum, _residue_primes, evaluation_points, quantum_factorial
 from quantum3.statesum import (
     StateSumResult,
     _edge_weight,
@@ -265,17 +265,119 @@ def test_tet_weight_symmetry_group():
 
 
 def test_memoized_tet_weight_matches_unmemoized():
-    raw = _tet_weight.__wrapped__
+    raw = statesum._racah.__wrapped__
     rng = random.Random(3)
     for _ in range(50):
-        tup = tuple(rng.randrange(4) for _ in range(6))
-        try:
-            expected = raw(*tup, 5)
-        except ValueError:
+        i, j, k, l, m, n = tup = tuple(rng.randrange(4) for _ in range(6))
+        faces = ((i, j, k), (i, m, n), (j, l, n), (k, l, m))
+        if not all(admissible_triple(*tri, 5) for tri in faces):
             with pytest.raises(ValueError):
                 _tet_weight(*tup, 5)
             continue
-        assert _tet_weight(*tup, 5) == expected
+        halves = sorted(sum(tri) // 2 for tri in faces)
+        squares = sorted([(i + j + l + m) // 2, (i + k + l + n) // 2, (j + k + m + n) // 2])
+        assert _tet_weight(*tup, 5) == raw(tuple(halves), tuple(squares), 5)
+
+
+def _exact_racah(tup, r, inv):
+    """Exact oracle for the tetrahedron weight from the tuple's own face
+    and square half-sums, in slot order; inv caches [n]!^-1 per (n, r),
+    each by its own CycloNum.inverse."""
+    i, j, k, l, m, n = tup
+    halves = [(i + j + k) // 2, (i + m + n) // 2, (j + l + n) // 2, (k + l + m) // 2]
+    squares = [(i + j + l + m) // 2, (i + k + l + n) // 2, (j + k + m + n) // 2]
+
+    def inverse(n):
+        if (n, r) not in inv:
+            inv[n, r] = quantum_factorial(n, r).inverse()
+        return inv[n, r]
+
+    out = CycloNum.zero(r)
+    for z in range(max(halves), min(min(squares), r - 2) + 1):
+        term = quantum_factorial(z + 1, r)
+        for x in [z - t for t in halves] + [q - z for q in squares]:
+            term = term * inverse(x)
+        out = out + (-term if z % 2 else term)
+    return out
+
+
+def _weight_cases():
+    """(r, colors) for r = 3..8, all colors and, at odd r, refined."""
+    return [(r, color_range(r, even)) for r in range(3, 9) for even in (False, True)[: 1 + r % 2]]
+
+
+def _row_tuples(np, colors, flat, slots):
+    """The color tuples at the flat digit positions of a weight row."""
+    digits = np.unravel_index(flat, (len(colors),) * slots)
+    return [tuple(colors[d] for d in tup) for tup in zip(*(a.tolist() for a in digits))]
+
+
+def test_weight_row_classes_match_racah_sums():
+    # Every admissible tuple's class weight is its own Racah sum, and a
+    # Regge image's Racah sum is the class weight of its base tuple.
+    import numpy as np
+
+    inv: dict = {}
+    for r, colors in _weight_cases():
+        _, _, (flat, index, weights) = statesum._weight_rows(np, r, colors)
+        tuples = _row_tuples(np, colors, flat, 6)
+        for tup, c in zip(tuples, index.tolist()):
+            assert weights[c] == _exact_racah(tup, r, inv), (r, tup)
+        if len(colors) < r - 1:
+            continue
+        # One Regge image per r (the map through the square half-sum of
+        # slots j, k, m, n), from r = 5 on one with other colors.
+        admissible = set(tuples)
+        images = []
+        for tup, c in zip(tuples, index.tolist()):
+            i, j, k, l, m, n = tup
+            sigma = (j + k + m + n) // 2
+            image = (i, sigma - j, sigma - k, l, sigma - m, sigma - n)
+            if image != tup and image in admissible:
+                images.append((sorted(image) == sorted(tup), image, c))
+        permuted, image, c = min(images)
+        assert r < 5 or not permuted
+        assert _exact_racah(image, r, inv) == weights[c], (r, image)
+
+
+def test_class_tables_equal_per_tuple_tables():
+    # The parent's layout: each admissible tuple's own weight through the
+    # column function.  Float tables must match bit for bit.
+    import numpy as np
+
+    for r, colors in _weight_cases():
+        rows = statesum._weight_rows(np, r, colors)
+        _, (face_flat, *_), (tet_flat, *_) = rows
+        face_weights = [_face_weight(*tri, r) for tri in _row_tuples(np, colors, face_flat, 3)]
+        tet_weights = [_tet_weight(*tup, r) for tup in _row_tuples(np, colors, tet_flat, 6)]
+        reps = evaluation_points(r, len(colors) < r - 1)
+        p, omega = next(_residue_primes(r))
+        for column in (
+            statesum._float_column(reps),
+            statesum._residue_column(r, evaluation_points(r), p, omega),
+        ):
+            _, face_tab, _, tet_tab, _ = statesum._vector_tables(np, rows, column)
+            for got, want in ((face_tab, column(face_weights)), (tet_tab, column(tet_weights))):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), r
+
+
+def test_weights_cost_one_racah_sum_per_class(monkeypatch):
+    # From cold caches, the r=7 weights take 66 Racah sums for 784
+    # tetrahedra and one CycloNum.inverse, of [6]!.
+    import numpy as np
+
+    from quantum3 import cyclo
+
+    for cached in (statesum._racah, statesum._face_weight, cyclo._inv_quantum_factorial):
+        cached.cache_clear()
+    calls = []
+    real = CycloNum.inverse
+    monkeypatch.setattr(CycloNum, "inverse", lambda x: calls.append(x) or real(x))
+    _, _, (flat, _, weights) = statesum._weight_rows(np, 7, color_range(7))
+    assert (len(flat), len(weights)) == (784, 66)
+    assert statesum._racah.cache_info().misses == 66
+    assert calls == [quantum_factorial(6, 7)]
 
 
 def test_tv_matches_enumeration():
@@ -309,7 +411,7 @@ def test_tv_prime_matches_even_enumeration():
 
 def test_sphere_closed_form_all_s():
     t = boundary_4_simplex()
-    for r in (3, 4, 5, 6, 7):
+    for r in (3, 4, 5, 6, 7, 11):
         for s in range(1, r):
             if math.gcd(s, r) != 1:
                 continue
