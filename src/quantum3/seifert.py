@@ -20,15 +20,19 @@ conventions are pinned by anchor tests against the state sum.
 
 Every phase exponent is an exact rational multiple of pi, reduced
 mod 2 before exponentiation, since the raw exponents grow like r * a^2
-and would otherwise lose precision.  The fiber sums keep it as an integer
-numerator N over a r, reduced mod 2ar and read from a table of roots of
-unity; the gamma Euler phase is a ratio of ints and the U_r phase a Fraction.
+and would otherwise lose precision.  A fiber phase factors into an a-th
+root of unity, whose integer exponent is reduced mod a and read from a
+table, and a half-turn phase e^{+-i pi gamma/(a r)}; the gamma Euler
+phase is a ratio of ints and the U_r phase a Fraction.
 
-Cost.  N is linear in gamma, so one pass per distinct fiber gives its sums
-for every gamma at once (_fiber_sums).  The root table is built once per
-(a, r) and serves both symbols of a Hempel pair, and the level-free
-constants of a symbol (Euler number, Dedekind sums) are computed once;
-both caches are small and bounded.
+Cost.  The m sum of a fiber is a row entry H_q(t) of a quadratic Gauss
+sum, with q = r b* mod a and t = gamma +- b* mod a (_fiber_sums).  A row
+costs gcd(2q, a) sums of a terms and a products, at most 3a terms at a
+level coprime to a, once per (a, q); it serves every level and both
+symbols of a Hempel pair that share (a, q).  The r - 1 half-turn phases
+are built once per (a, r).  A fiber then costs 2(r - 1) products for all
+gamma.  The level-free constants of a symbol (Euler number, Dedekind
+sums) are computed once; all three caches are small and bounded.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,30 +145,47 @@ def _phase(frac: Fraction) -> complex:
     return cmath.exp(1j * math.pi * float(frac % 2))
 
 
+@functools.lru_cache(maxsize=64)
+def _gauss_row(a: int, q: int) -> tuple[complex, ...]:
+    """H_q(t) = sum over m mod a of omega^{-(m t + q m^2)} for t mod a,
+    omega = e^{2 pi i/a}.  Shifting m by k gives
+    H_q(t + 2qk) = omega^{q k^2 + t k} H_q(t), so the sums at
+    t = 0..g-1, g = gcd(2q, a), give the row: g a + a terms, at most 3a
+    where q is a unit mod a.  Every root is read from a table of the a-th
+    roots of unity by an exponent reduced mod a.  A row depends on the
+    level only through q = r c mod a, so it serves every level and both
+    symbols of a Hempel pair that share (a, q)."""
+    roots = [cmath.exp(1j * math.pi * (2 * k / a)) for k in range(a)]
+    g = math.gcd(2 * q, a)
+    row = [0j] * a
+    for t in range(g):
+        h = sum(roots[-(m * t + q * m * m) % a] for m in range(a))
+        for k in range(a // g):
+            row[(t + 2 * q * k) % a] = roots[(q * k * k + t * k) % a] * h
+    return tuple(row)
+
+
 @functools.lru_cache(maxsize=8)
-def _roots(a: int, r: int) -> tuple[complex, ...]:
-    """The table e^{i pi k/(a r)} for k mod 2ar.  A level's table serves
-    every fiber of cone order a, in both symbols of a Hempel pair."""
-    return tuple([cmath.exp(1j * math.pi * (k / (a * r))) for k in range(2 * a * r)])
+def _half_turns(a: int, r: int) -> tuple[complex, ...]:
+    """e^{i pi gamma/(a r)} for gamma = 1..r-1; its conjugate is the phase
+    at -gamma.  A level's table serves every fiber of cone order a, in
+    both symbols of a Hempel pair."""
+    return tuple([cmath.exp(1j * math.pi * (gamma / (a * r))) for gamma in range(1, r)])
 
 
 def _fiber_sums(a: int, c: int, r: int) -> list[complex]:
     """For gamma = 1..r-1 (entry gamma - 1), the sum over mu = +-1 and
     m mod a of mu e^{i pi N/(a r)} with
-    N = -(2rm+mu) gamma - 2r(rm^2+mu m) c.  N is linear in gamma, so each
-    (mu, m) term is one run of table indices over gamma; the runs are
-    added (mu = 1) or subtracted (mu = -1) in (mu, m) order, so each entry
-    is the same float sum as one gamma's loop over (mu, m)."""
-    roots = _roots(a, r)
-    size = len(roots)
-    sums = [0j] * (r - 1)
-    for mu, combine in ((1, operator.add), (-1, operator.sub)):
-        for m in range(a):
-            base = -2 * r * (r * m * m + mu * m) * c
-            step = -(2 * r * m + mu)
-            run = [roots[n % size] for n in range(base + step, base + step * r, step)]
-            sums = list(map(combine, sums, run))
-    return sums
+    N = -(2rm+mu) gamma - 2r(rm^2+mu m) c.  The phase splits as
+    e^{-i pi mu gamma/(a r)} omega^{-(m (gamma + mu c) + q m^2)} with
+    q = r c mod a, so the m sum is a Gauss row entry and
+    F(gamma) = e^{-i pi gamma/(a r)} H_q(gamma + c) - e^{i pi gamma/(a r)} H_q(gamma - c),
+    the row read mod a."""
+    row = _gauss_row(a, r * c % a)
+    return [
+        p.conjugate() * row[(gamma + c) % a] - p * row[(gamma - c) % a]
+        for gamma, p in enumerate(_half_turns(a, r), 1)
+    ]
 
 
 @functools.lru_cache(maxsize=8)
@@ -181,14 +201,15 @@ def _z_full(sym: SeifertSymbol, r: int, b_star: list[int]) -> complex:
     sums are grouped per fiber, which is an exact regrouping of the
     triple sum.
 
-    Fiber j's phases have integer numerators N over a r (see _fiber_sums
-    with c = b*_j), reduced exactly mod 2ar, and the gamma phases are
-    gamma^2 E/(2r) mod 2 as ratios of ints.  The root table and the gamma
-    phases are what exponentiating the reduced Fractions would give: int
-    and Fraction true division both round a rational correctly.  N mod 2ar
-    depends on b*_j only mod a, so the fiber sums of each distinct
-    (a, b*_j mod a) are computed once, for every gamma in one pass, before
-    the gamma loop multiplies them in fiber order."""
+    Fiber j's phase numerators N over a r (see _fiber_sums with
+    c = b*_j) become a Gauss row entry, read at integer exponents reduced
+    mod a, times a half-turn phase; the gamma phases are gamma^2 E/(2r)
+    mod 2 as ratios of ints.  The root tables and the gamma phases are
+    what exponentiating the reduced Fractions would give: int and
+    Fraction true division both round a rational correctly.  The fiber
+    sums depend on b*_j only mod a, so those of each distinct
+    (a, b*_j mod a) are computed once, for every gamma in one pass,
+    before the gamma loop multiplies them in fiber order."""
     e_num = _symbol_constants(sym)[0]
     sin_exp = sym.n + 2 * sym.g - 2
     keys = [(a, bs % a) for (a, _), bs in zip(sym.pairs, b_star)]

@@ -21,7 +21,8 @@ from quantum3.hempel import (
 )
 from quantum3.seifert import (
     SeifertSymbol,
-    _roots,
+    _gauss_row,
+    _half_turns,
     level_route,
     same_manifold,
     tv_closed_form,
@@ -162,19 +163,26 @@ def test_report_indistinguishable_pair():
 
 
 def test_paper_pairs_to_r_max_100():
+    # Every nontrivial iterate: k = 2..5 (mod 7) and k = 2, 3 (mod 5).
     s7 = sym("0; 7/1, 7/1, 7/-1, 7/-1")
-    for k in (2, 3):
-        assert report(s7, k, 100).verdict == "distinguishable(7,1)"
-    rep = report(sym("0; 5/1, 5/1, 5/-2"), 2, 100)
-    assert rep.verdict == "indistinguishable_up_to(100)"
-    assert {row.r for row in rep.rows} == set(range(3, 101))
-    for row in rep.rows:
-        if row.r % 5 == 0:
-            assert row.status == "vanishing", f"r={row.r}"
-            assert row.value_a == 0.0 and row.value_b == 0.0, f"r={row.r}"
-        else:
-            assert row.status == "ratio" and row.equal is True, f"r={row.r}"
-            assert row.int_a is not None and row.int_b is not None, f"r={row.r}"
+    s5 = sym("0; 5/1, 5/1, 5/-2")
+    reports = [report(s7, k, 100) for k in (2, 3, 4, 5)]
+    reports += [report(s5, k, 100) for k in (2, 3)]
+    assert [rep.verdict for rep in reports] == ["distinguishable(7,1)"] * 4 + [
+        "indistinguishable_up_to(100)"
+    ] * 2
+    for rep in reports:
+        assert {row.r for row in rep.rows} == set(range(3, 101))
+        for row in rep.rows:
+            if row.status == "vanishing":
+                assert row.value_a == 0.0 and row.value_b == 0.0, (rep.k, row.r)
+    for rep in reports[4:]:
+        for row in rep.rows:
+            if row.r % 5 == 0:
+                assert row.status == "vanishing", (rep.k, row.r)
+            else:
+                assert row.status == "ratio" and row.equal is True, (rep.k, row.r)
+                assert row.int_a is not None and row.int_b is not None, (rep.k, row.r)
 
 
 def test_report_trivial_pair():
@@ -199,15 +207,25 @@ def test_report_out_of_scope_rows():
 
 def test_report_builds_one_root_table_per_ratio_level():
     # Both symbols of the order-7 pair have cone order a = 7, so every
-    # ratio level needs one table of roots of unity, shared by the two
-    # sides and by the fibers of each side.
-    _roots.cache_clear()
+    # ratio level needs one table of half-turn phases, shared by the two
+    # sides and by the fibers of each side.  A Gauss row is built once per
+    # (a, q = r b* mod a) over the whole report.
+    _half_turns.cache_clear()
+    _gauss_row.cache_clear()
     rep = report(sym("0; 7/1, 7/1, 7/-1, 7/-1"), 2, 30)
     ratio_levels = {row.r for row in rep.rows if row.status == "ratio"}
     assert len(ratio_levels) == 24
-    info = _roots.cache_info()
+    info = _half_turns.cache_info()
     assert info.misses == len(ratio_levels)
     assert info.hits >= len(ratio_levels)
+    rows = {
+        (a, r * pow(b, -1, a) % a)
+        for r in ratio_levels
+        for symbol in (rep.symbol_a, rep.symbol_b)
+        for a, b in symbol.pairs
+    }
+    assert len(rows) == 6
+    assert _gauss_row.cache_info().misses == len(rows)
 
 
 @pytest.mark.parametrize("text", ["0; 7/1, 7/1, 7/-1, 7/-1", "0; 5/1, 5/1, 5/-2"])

@@ -51,9 +51,10 @@ def fraction_phase(frac: Fraction) -> complex:
 
 
 def fraction_z_full(symbol: SeifertSymbol, r: int, b_star: list[int]) -> complex:
-    """Oracle for _z_full: every phase exponent of the fiber sums is an
-    exact Fraction, reduced mod 2 before exponentiation; terms are summed
-    and multiplied in the same order, so the result is bit-identical."""
+    """Independent oracle for _z_full: the triple sum over (gamma, mu, m)
+    with every phase exponent an exact Fraction, reduced mod 2 before
+    exponentiation.  It sums the m terms in another grouping than the
+    kernel, so the two agree only to rounding (Z_ORACLE_TOL)."""
     e_num = euler_number(symbol)
     sin_exp = symbol.n + 2 * symbol.g - 2
     total = 0j
@@ -71,6 +72,74 @@ def fraction_z_full(symbol: SeifertSymbol, r: int, b_star: list[int]) -> complex
             term *= fiber
         total += term
     return total
+
+
+def grouped_fraction_z_full(symbol: SeifertSymbol, r: int, b_star: list[int]) -> complex:
+    """Oracle for _z_full in its own grouping: fiber j's sum at gamma is
+    e^{-i pi gamma/(a r)} H(gamma + c) - e^{i pi gamma/(a r)} H(gamma - c)
+    with c = b*_j and the Gauss row H(t) = sum_m e^{-2 pi i (m t + r c m^2)/a},
+    built from its first gcd(2 r c, a) entries by
+    H(t + 2 r c k) = e^{2 pi i (r c k^2 + t k)/a} H(t).  Every phase is an
+    exact Fraction reduced mod 2, with c and r c left unreduced, and the
+    operations come in the kernel's order, so the result is bit-identical."""
+    e_num = euler_number(symbol)
+    sin_exp = symbol.n + 2 * symbol.g - 2
+
+    def gauss_row(a: int, q: int) -> list[complex]:
+        g = math.gcd(2 * q, a)
+        row = [0j] * a
+        for t in range(g):
+            h = sum(fraction_phase(Fraction(-2 * (m * t + q * m * m), a)) for m in range(a))
+            for k in range(a // g):
+                row[(t + 2 * q * k) % a] = fraction_phase(Fraction(2 * (q * k * k + t * k), a)) * h
+        return row
+
+    rows = [gauss_row(a, r * c) for (a, _), c in zip(symbol.pairs, b_star)]
+    total = 0j
+    for gamma in range(1, r):
+        term = fraction_phase(Fraction(gamma * gamma, 2 * r) * e_num)
+        term *= math.sin(math.pi * gamma / r) ** (-sin_exp)
+        for (a, _), c, row in zip(symbol.pairs, b_star, rows):
+            half = fraction_phase(Fraction(gamma, a * r))
+            term *= half.conjugate() * row[(gamma + c) % a] - half * row[(gamma - c) % a]
+        total += term
+    return total
+
+
+# |_z_full - fraction_z_full| <= Z_ORACLE_TOL (1 + |Z|): the two groupings
+# round differently, by up to 2.7e-12 (1 + |Z|) over ORACLE_CASES, at a
+# true zero at r=99 (|Z| ~ 2e-12).
+Z_ORACLE_TOL = 1e-11
+
+# Symbols and levels of the oracle tests: both paper pairs and their
+# iterates, mixed cone orders, E != 0 ("1; 3/1, 5/2", "0; 4/1, 6/1"), S^3
+# and S^2 x S^1 at r=3..40; the paper pairs and iterates at levels past 40
+# up to the Hempel report's r_max = 100, prime and composite; and a cone
+# order larger than 2(r-1), where the gammas read only part of a row.
+ORACLE_TEXTS = [
+    "0; 7/1, 7/1, 7/-1, 7/-1",
+    "0; 7/4, 7/4, 7/-4, 7/-4",
+    "0; 7/5, 7/5, 7/-5, 7/-5",
+    "0; 5/1, 5/1, 5/-2",
+    "0; 5/3, 5/3, 5/-6",
+    "0; 5/2, 5/2, 5/-4",
+    "0; 7/1, 7/2, 7/-3",
+    "1; 3/1, 5/2",
+    "0; 2/1, 8/-1, 8/-3",
+    "2; 7/1, 7/-1",
+    "0; 4/1, 6/1",
+    "0; 1/1",
+    "0;",
+]
+ORACLE_CASES = (
+    [(text, r) for text in ORACLE_TEXTS for r in range(3, 41)]
+    + [(text, r) for text in ORACLE_TEXTS[:6] for r in (41, 64, 97, 99)]
+    + [("0; 11/1, 11/-1", r) for r in (3, 4, 5)]
+)
+# b* is read mod a: shifted and negative representatives for
+# "0; 5/2, 5/2, 5/-4, 1/1", whose least inverses are 3, 3, 1, 0.
+SHIFTED_TEXT = "0; 5/2, 5/2, 5/-4, 1/1"
+SHIFTED_B_STAR = [3 + 5, 3 - 10, 1 + 15, -7]
 
 
 def pm_vectors(n: int):
@@ -454,44 +523,31 @@ def test_simplified_z_consistency():
 
 
 def test_z_full_bit_identical_to_fraction_oracle():
-    # The integer-phase fiber sums reproduce the Fraction sums exactly,
-    # not within a tolerance: both paper pairs and their iterates, mixed
-    # cone orders, E != 0 ("1; 3/1, 5/2", "0; 4/1, 6/1"), S^3 and S^2 x S^1.
-    texts = [
-        "0; 7/1, 7/1, 7/-1, 7/-1",
-        "0; 7/4, 7/4, 7/-4, 7/-4",
-        "0; 7/5, 7/5, 7/-5, 7/-5",
-        "0; 5/1, 5/1, 5/-2",
-        "0; 5/3, 5/3, 5/-6",
-        "0; 5/2, 5/2, 5/-4",
-        "0; 7/1, 7/2, 7/-3",
-        "1; 3/1, 5/2",
-        "0; 2/1, 8/-1, 8/-3",
-        "2; 7/1, 7/-1",
-        "0; 4/1, 6/1",
-        "0; 1/1",
-        "0;",
-    ]
-    for text in texts:
+    # The Gauss-row fiber sums reproduce the grouped Fraction sums
+    # exactly, not within a tolerance, which pins the reduction of every
+    # integer phase exponent mod a.  The levels r = a, 2a (q = 0, a row of
+    # a sums) and the even cone orders (gcd(2q, a) = 2) build rows from
+    # more than one entry.
+    for text, r in ORACLE_CASES:
         symbol = sym(text)
         b_star = default_b_star(symbol)
-        for r in range(3, 41):
-            assert _z_full(symbol, r, b_star) == fraction_z_full(symbol, r, b_star), (text, r)
-    # The Hempel report reaches r_max = 100: the paper pairs and their
-    # iterates at a few levels past 40, prime and composite.
-    for text in texts[:6]:
-        symbol = sym(text)
-        b_star = default_b_star(symbol)
-        for r in (41, 64, 97, 99):
-            assert _z_full(symbol, r, b_star) == fraction_z_full(symbol, r, b_star), (text, r)
-    # b* is read mod a; shifted and negative representatives give the same
-    # bits.
-    symbol = sym("0; 5/2, 5/2, 5/-4, 1/1")
-    shifted = [3 + 5, 3 - 10, 1 + 15, -7]
+        assert _z_full(symbol, r, b_star) == grouped_fraction_z_full(symbol, r, b_star), (text, r)
+    # Shifted and negative representatives of b* give the same bits.
+    symbol = sym(SHIFTED_TEXT)
     for r in range(3, 41):
-        z = _z_full(symbol, r, shifted)
-        assert z == fraction_z_full(symbol, r, shifted), r
+        z = _z_full(symbol, r, SHIFTED_B_STAR)
+        assert z == grouped_fraction_z_full(symbol, r, SHIFTED_B_STAR), r
         assert z == _z_full(symbol, r, default_b_star(symbol)), r
+
+
+def test_z_full_matches_ungrouped_fraction_oracle():
+    # The triple sum in its own order checks the regrouping itself.
+    cases = [(sym(text), r, default_b_star(sym(text))) for text, r in ORACLE_CASES]
+    cases += [(sym(SHIFTED_TEXT), r, SHIFTED_B_STAR) for r in range(3, 41)]
+    for symbol, r, b_star in cases:
+        z = _z_full(symbol, r, b_star)
+        ref = fraction_z_full(symbol, r, b_star)
+        assert abs(z - ref) <= Z_ORACLE_TOL * (1 + abs(ref)), (str(symbol), r, z, ref)
 
 
 def test_move_invariance_of_ratio():

@@ -510,7 +510,7 @@ def test_splitting_of_invariants_on_sphere():
 
 
 def test_float_method_matches_exact():
-    # Measured against exact: at most 1.7e-14 relative on the sphere and
+    # Measured against exact: at most 1.9e-14 relative on the sphere and
     # 2.3e-14 on s2xs1 at r=5.
     t = boundary_4_simplex()
     cases = [(t, r) for r in (3, 4, 5, 6, 7)] + [(load_asset("s2xs1"), 5)]
@@ -522,6 +522,21 @@ def test_float_method_matches_exact():
             b = tv(tri, r, s, method="float")
             assert abs(a.raw - b.raw) <= 1e-12 * abs(a.raw)
             assert a.coloring_count == b.coloring_count
+
+
+# Worst relative error of float tv on the sphere over s, per level, as
+# documented in tv: twice the measured 1.2e-13, 3.6e-13, 2.7e-10, 1.1e-11
+# and 3.4e-8.  These pin today's loss of accuracy; they are not a goal.
+FLOAT_SPHERE_BOUNDS = {9: 2.4e-13, 10: 7.2e-13, 11: 5.4e-10, 12: 2.2e-11, 13: 6.8e-8}
+
+
+@pytest.mark.parametrize("r", sorted(FLOAT_SPHERE_BOUNDS))
+def test_float_sphere_error_within_documented_bounds(r):
+    t = boundary_4_simplex()
+    for s in evaluation_points(r):
+        expected = (2 / r) * math.sin(math.pi * s / r) ** 2
+        got = tv(t, r, s, method="float").value
+        assert abs(got - expected) <= FLOAT_SPHERE_BOUNDS[r] * expected, (r, s, got)
 
 
 def _grand_case(name: str) -> Triangulation:
