@@ -153,35 +153,19 @@ def _racah(halves: tuple[int, ...], squares: tuple[int, ...], r: int) -> CycloNu
     return out
 
 
-def weight_edge(c: Coloring, e: int) -> CycloNum:
-    """|e|_c for the edge with id e."""
-    return _edge_weight(c[e], c.level_r)
-
-
-def weight_face(c: Coloring, f: tuple[int, int, int]) -> CycloNum:
-    """|f|_c for the face with edge ids f (as in Triangulation.face_edges)."""
-    e1, e2, e3 = f
-    return _face_weight(c[e1], c[e2], c[e3], c.level_r)
-
-
-def weight_tet(c: Coloring, t: tuple[int, ...]) -> CycloNum:
-    """|t|_c for the tetrahedron with slot-ordered edge ids t (as in
-    Triangulation.tet_edges): slots (i,j,k,l,m,n) with opposite pairs
-    (i,l), (j,m), (k,n)."""
-    i, j, k, l, m, n = (c[e] for e in t)
-    return _tet_weight(i, j, k, l, m, n, c.level_r)
-
-
 def coloring_weight(t: Triangulation, c: Coloring) -> CycloNum:
     """The full product weight of one admissible coloring: all edge, face,
-    and tetrahedron weights multiplied."""
-    out = CycloNum.one(c.level_r)
+    and tetrahedron weights multiplied (faces with edge ids as in
+    Triangulation.face_edges, tetrahedra with slot-ordered edge ids as in
+    Triangulation.tet_edges)."""
+    r = c.level_r
+    out = CycloNum.one(r)
     for e in range(len(t.edges)):
-        out = out * weight_edge(c, e)
+        out = out * _edge_weight(c[e], r)
     for f in t.face_edges:
-        out = out * weight_face(c, f)
+        out = out * _face_weight(*(c[e] for e in f), r)
     for slots in t.tet_edges:
-        out = out * weight_tet(c, slots)
+        out = out * _tet_weight(*(c[e] for e in slots), r)
     return out
 
 
@@ -392,18 +376,24 @@ def _weight_rows(np, r: int, colors: tuple[int, ...]):
     )
 
 
-def _vector_tables(np, rows, column):
+def _vector_tables(np, rows, domain):
     """Lookup tables for the vector engine from the weight rows of
     _weight_rows, indexed by color-index digits: (edge_tab, face_tab,
-    face_row, tet_tab, tet_row).  face_tab and tet_tab hold one row per
-    admissible digit tuple of a face and of a tetrahedron; face_row and
-    tet_row map the nc^3 and nc^6 digit tuples to those rows as int32, -1
-    where a tuple is inadmissible (so rows >= 0 is the admissibility
-    mask).  column maps a list of weights to an (n, ns) array, one row
-    per weight: float64 values at zeta = e^(i pi s/r) (_float_column), or
-    int64 residues (_residue_column); each checks every entry it makes.
-    column runs once per class of faces and of tetrahedra, and every
-    table row is a copy of its class's checked row."""
+    face_row, tet_tab, tet_row, modulus).  face_tab and tet_tab hold one
+    row per admissible digit tuple of a face and of a tetrahedron;
+    face_row and tet_row map the nc^3 and nc^6 digit tuples to those rows
+    as int32, -1 where a tuple is inadmissible (so rows >= 0 is the
+    admissibility mask).
+
+    domain is a (column, modulus) pair from _float_column or
+    _residue_column.  column maps a list of weights to an (n, ns) array,
+    one row per weight and one column per evaluation point: float64
+    values at zeta = e^(i pi s/r), or int64 residues mod the prime
+    modulus; each checks every entry it makes.  column runs once per
+    class of faces and of tetrahedra, and every table row is a copy of
+    its class's checked row.  modulus (None for float) is passed on in
+    the tables, so the tables alone tell the engine what it sums."""
+    column, modulus = domain
     edges, (face_flat, face_class, face_weights), (tet_flat, tet_class, tet_weights) = rows
     nc = len(edges)
 
@@ -418,14 +408,16 @@ def _vector_tables(np, rows, column):
         row_map(face_flat, nc**3),
         column(tet_weights)[tet_class],
         row_map(tet_flat, nc**6),
+        modulus,
     )
 
 
 def _float_column(s_values: tuple[int, ...]):
-    """Column function of the float tables: the value of each weight at
-    zeta = e^(i pi s/r) for each s in s_values, as float64.  Weights built
-    from quantum integers are real there, so every entry is checked once
-    (_unreal); a failure raises ArithmeticError naming the weight and s."""
+    """The float domain of _vector_tables: (column, None), column giving
+    the value of each weight at zeta = e^(i pi s/r) for each s in
+    s_values, as float64.  Weights built from quantum integers are real
+    there, so every entry is checked once (_unreal); a failure raises
+    ArithmeticError naming the weight and s."""
 
     def column(weights):
         import numpy as np
@@ -439,15 +431,16 @@ def _float_column(s_values: tuple[int, ...]):
             )
         return np.ascontiguousarray(z.real)
 
-    return column
+    return column, None
 
 
 def _residue_column(r: int, s_values: tuple[int, ...], p: int, omega: int):
-    """Column function of the residue tables: the residues mod p of each
-    weight at zeta -> omega^s for each s in s_values (each in 1..r-1).
-    Every weight's residues at the conjugate roots omega^(2r - s) are
-    checked to be the same, as they must be for weights built from
-    quantum integers: a failure raises ArithmeticError."""
+    """The residue domain of _vector_tables: (column, p), column giving
+    the int64 residues mod p of each weight at zeta -> omega^s for each s
+    in s_values (each in 1..r-1).  Every weight's residues at the
+    conjugate roots omega^(2r - s) are checked to be the same, as they
+    must be for weights built from quantum integers: a failure raises
+    ArithmeticError."""
     where = {s: k for k, s in enumerate(_root_exponents(r))}
     columns = [where[s] for s in s_values]
     conjugates = [where[2 * r - s] for s in s_values]
@@ -460,28 +453,28 @@ def _residue_column(r: int, s_values: tuple[int, ...], p: int, omega: int):
             raise ArithmeticError(f"weight {w!r} is not fixed by zeta -> 1/zeta mod {p}")
         return res[:, columns]
 
-    return column
+    return column, p
 
 
 def _run_frontier_vector(
     sched: _Schedule,
     s_values: tuple[int, ...],
     tables,
-    row_limit: int,
     peak_out: list | None = None,
-    modulus: int | None = None,
     forest: frozenset[int] = frozenset(),
 ) -> tuple[dict[int, complex | int], int]:
     """Frontier sum vectorized over states.  Returns the grand sum per
     requested s and the coloring count.
 
-    A state row is an int64 key, an int64 coloring count and one value
-    column per s: float64 when modulus is None (the weights are real at
-    every s, see _float_column), else int64 residues mod the prime
-    modulus < 2^31, reduced after every product and every sum so that no
-    product passes int64.  Weights are read from tables (see
-    _vector_tables), one edge-table row per color, and both domains run
-    the same operations in the same order.
+    Weights are read from tables (see _vector_tables), one edge-table row
+    per color and one column per s, and the tables fix the domain: a
+    state row is an int64 key, an int64 coloring count and one value per
+    column, float64 when the tables' modulus is None (the weights are
+    real at every s, see _float_column), else int64 residues mod the
+    prime modulus < 2^31, reduced after every product and every sum so
+    that no product passes int64.  Both domains run the same operations
+    in the same order.  s_values names the columns in order; a length
+    other than the column count raises ValueError.
 
     forest holds the ids of the spanning-forest edges of an all-color sum
     (tables over the colors 0..r-2, so a digit is its color; see the
@@ -512,16 +505,17 @@ def _run_frontier_vector(
     check's index is built in one array from the digits (_grand_sum keeps
     nc^6 within int32).
 
-    A step never builds more than row_limit rows.  A parent has at most
-    nc children, so two or more parents whose children could pass the
-    limit are split first by the key digit of one frontier edge, and
-    each part is carried on from the same step, depth-first, through the
-    step where that edge retires (or the part's own last step, if
-    sooner).  There the parts' children can first share keys, so their
-    rows are concatenated and merged by _merge, and the sweep
-    goes on from the next step with the merged frontier, split again if
-    it is still over the limit.  The sum is linear in the parent rows, so
-    the merged rows hold the same sums and counts as an unsplit sweep.
+    A step never builds more than row_limit rows, _STEP_BYTES over the
+    bytes of one row.  A parent has at most nc children, so two or more
+    parents whose children could pass the limit are split first by the
+    key digit of one frontier edge, and each part is carried on from the
+    same step, depth-first, through the step where that edge retires (or
+    the part's own last step, if sooner).  There the parts' children can
+    first share keys, so their rows are concatenated and merged by
+    _merge, and the sweep goes on from the next step with the merged
+    frontier, split again if it is still over the limit.  The sum is
+    linear in the parent rows, so the merged rows hold the same sums and
+    counts as an unsplit sweep.
     The split digit is the top one that varies: its edge retires last,
     ties going to the earliest assigned, so the parts stay small for as
     long as possible, and the parts are contiguous slices of the sorted
@@ -536,9 +530,11 @@ def _run_frontier_vector(
     holds the one exact count check)."""
     import numpy as np
 
-    edge_tab, face_tab, face_row, tet_tab, tet_row = tables
+    edge_tab, face_tab, face_row, tet_tab, tet_row, modulus = tables
     dtype = edge_tab.dtype
-    nc = len(edge_tab)
+    nc, ns = edge_tab.shape
+    # A row is an int64 key, an int64 count and one value per column.
+    row_limit = _STEP_BYTES // (16 + dtype.itemsize * ns)
     # A forest edge takes only the colors x with 2x <= nc - 1 = r - 2; an x
     # with 2x < r - 2 stands for its flip r - 2 - x too, so its edge row
     # and its batch's counts double.
@@ -552,7 +548,6 @@ def _run_frontier_vector(
     ]
     bits = _key_bits(sched, nc)
     digit_mask = (1 << bits) - 1
-    ns = len(s_values)
     tet_digits = np.unravel_index(np.flatnonzero(tet_row >= 0), (nc,) * 6)
     fused_tabs: dict[tuple, object] = {}
 
@@ -704,7 +699,7 @@ def _run_frontier_vector(
         len(sched.order) - 1,
     )
     # Every edge has retired after the last step, so at most one row is left.
-    return dict(zip(s_values, vals.sum(axis=0).tolist())), int(cnts.sum())
+    return dict(zip(s_values, vals.sum(axis=0).tolist(), strict=True)), int(cnts.sum())
 
 
 def _spanning_forest(t: Triangulation, sched: _Schedule) -> frozenset[int]:
@@ -737,35 +732,31 @@ def _spanning_forest(t: Triangulation, sched: _Schedule) -> frozenset[int]:
     return frozenset(forest)
 
 
-_SCHEDULE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _schedule(t: Triangulation) -> tuple[_Schedule, frozenset[int]]:
-    """_Schedule(t) and its spanning forest, built once per triangulation."""
-    if t not in _SCHEDULE_CACHE:
-        sched = _Schedule(t)
-        _SCHEDULE_CACHE[t] = (sched, _spanning_forest(t, sched))
-    return _SCHEDULE_CACHE[t]
-
-
 _GRAND_CACHE: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _schedule(t: Triangulation) -> tuple[_Schedule, frozenset[int], dict]:
+    """The one cache entry of t: _Schedule(t), its spanning forest and
+    the grand sums of t by (r, even_only, exact), made on first use."""
+    if t not in _GRAND_CACHE:
+        sched = _Schedule(t)
+        _GRAND_CACHE[t] = (sched, _spanning_forest(t, sched), {})
+    return _GRAND_CACHE[t]
 
 
 def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
     """Grand sum and coloring count, cached per triangulation under
-    (r, even_only, exact).  _STEP_BYTES sizes one row limit, and no step
-    of any sweep builds more rows than that (_run_frontier_vector splits
-    its parents first and merges the parts back where the split edge
-    retires; a merged frontier can hold more).  The weight rows are built
-    once and serve every sweep, and the schedule and its spanning forest
-    once per triangulation (_schedule); all-color sums are gauge-fixed on
-    the forest, refined ones run with none.
+    (r, even_only, exact) next to its schedule and spanning forest
+    (_schedule).  Each sweep sizes its own row limit from its tables
+    (_run_frontier_vector).  The weight rows are built once and serve
+    every sweep; all-color sums are gauge-fixed on the forest, refined
+    ones run with none.
 
     Float: one sweep carries every evaluation class as a float64 column
     (_float_column checks every weight class for reality, and each table
-    entry copies a checked value), so the grand
-    sum is a dict from each point s of cyclo.evaluation_points (the
-    refined ones when even_only) to its real value.
+    entry copies a checked value), so the grand sum is a dict from each
+    point s of cyclo.evaluation_points (the refined ones when even_only)
+    to its real value.
 
     Exact: each sweep sums int64 residues modulo one prime p = 1 (mod 2r),
     with one column per root omega^s, s in 1..r-1 prime to r.  Every
@@ -774,17 +765,17 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
     deg M_r roots.  Sweeps with further primes follow until the value
     reconstructed from the earlier primes agrees with the newest one
     (_ResidueImage), and that value is the canonical CycloNum.  The grand
-    sum, gauge-fixed or not, is a sum of count products of one weight per edge, face and
-    tetrahedron, which bounds its height (_height_bits), so a fault that
-    makes the residues disagree raises ArithmeticError after finitely
-    many primes.
+    sum, gauge-fixed or not, is a sum of count products of one weight per
+    edge, face and tetrahedron, which bounds its height (_height_bits),
+    so a fault that makes the residues disagree raises ArithmeticError
+    after finitely many primes.
 
     Table indices are int32, so more than 2^31 - 1 digit tuples of a
     tetrahedron (nc^6 for nc colors) raise ValueError before any table
     is built, as an unpackable frontier does.  Coloring counts are int64:
     a sweep raises ArithmeticError at the first merge whose counts sum
     past it, whatever the row limit (_merge holds the one exact check)."""
-    per_tri = _GRAND_CACHE.setdefault(t, {})
+    sched, forest, per_tri = _schedule(t)
     key = (r, even_only, exact)
     if key in per_tri:
         return per_tri[key]
@@ -792,7 +783,6 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
 
     allowed = color_range(r, even_only)
     nc = len(allowed)
-    sched, forest = _schedule(t)
     # A flip maps even colors to odd ones at odd r: refined sums keep every
     # color of every edge.
     if even_only:
@@ -805,23 +795,18 @@ def _grand_sum(t: Triangulation, r: int, even_only: bool, exact: bool):
             f"tetrahedron table too large to index: {nc}^6 digit tuples pass int32"
         )
     reps = evaluation_points(r, even_only and not exact)
-    # A row is an int64 key, an int64 count and one 8-byte value column per s.
-    row_limit = _STEP_BYTES // (16 + 8 * len(reps))
     rows = _weight_rows(np, r, allowed)
     if not exact:
         tables = _vector_tables(np, rows, _float_column(reps))
-        per_tri[key] = _run_frontier_vector(sched, reps, tables, row_limit, forest=forest)
+        per_tri[key] = _run_frontier_vector(sched, reps, tables, forest=forest)
         return per_tri[key]
     # The class weights hold every distinct weight of the tuples, so they
     # give _height_bits the same lcm and maximum.
     edges, (*_, face_weights), (*_, tet_weights) = rows
     image = None
     for p, omega in _residue_primes(r):
-        column = _residue_column(r, reps, p, omega)
-        tables = _vector_tables(np, rows, column)
-        grands, count = _run_frontier_vector(
-            sched, reps, tables, row_limit, modulus=p, forest=forest
-        )
+        tables = _vector_tables(np, rows, _residue_column(r, reps, p, omega))
+        grands, count = _run_frontier_vector(sched, reps, tables, forest=forest)
         if image is None:
             groups = [
                 (edges, len(t.edges)),

@@ -8,15 +8,10 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
 
-import numpy as np
 import pytest
 
 from quantum3.complex3 import (
-    Triangulation,
-    admissible_triple,
-    color_range,
     enumerate_admissible,
     load_asset,
     normal_surface_euler_parity,
@@ -31,9 +26,7 @@ from quantum3.seifert import (
 )
 from quantum3.statesum import coloring_weight, tv, tv_prime
 
-
-def boundary_4_simplex() -> Triangulation:
-    return Triangulation(list(combinations(range(5), 4)))
+from helpers import boundary_4_simplex, brute_force_count, cotangent_sum
 
 
 def test_criterion_01_sphere_anchor_under_60s():
@@ -135,18 +128,6 @@ def test_criterion_08_indistinguishable_pair():
             assert abs(row.value_b - round(row.value_b)) < 1e-6, f"r={row.r}"
 
 
-def cotangent_sum(b: int, a: int) -> float:
-    def terms():
-        for l in range(1, a):
-            m = (l * b) % a
-            if 2 * m > a:
-                m -= a
-            ll = l if 2 * l <= a else l - a
-            yield 1.0 / (math.tan(math.pi * ll / a) * math.tan(math.pi * m / a))
-
-    return math.fsum(terms()) / (4 * a)
-
-
 def test_criterion_09_dedekind_sums():
     rng = random.Random(20260815)
     checked = 0
@@ -162,35 +143,6 @@ def test_criterion_09_dedekind_sums():
         assert reciprocity == Fraction(-1, 4) + Fraction(
             a * a + b * b + 1, 12 * a * b
         ), f"reciprocity at ({b},{a})"
-
-
-def brute_force_count(t: Triangulation, r: int, even_only: bool = False) -> int:
-    colors = np.array(color_range(r, even_only), dtype=np.int64)
-    n_edges = len(t.edges)
-    k = len(colors)
-    table = np.array(
-        [
-            [[admissible_triple(i, j, l, r) for l in range(r - 1)]
-             for j in range(r - 1)]
-            for i in range(r - 1)
-        ],
-        dtype=bool,
-    )
-    faces = [tuple(t.face_edges[f]) for f in range(len(t.faces))]
-    count = 0
-    chunk = 1 << 16
-    for start in range(0, k**n_edges, chunk):
-        idx = np.arange(start, min(start + chunk, k**n_edges), dtype=np.int64)
-        digits = np.empty((len(idx), n_edges), dtype=np.int64)
-        rest = idx
-        for e in range(n_edges):
-            digits[:, e] = colors[rest % k]
-            rest = rest // k
-        ok = np.ones(len(idx), dtype=bool)
-        for e0, e1, e2 in faces:
-            ok &= table[digits[:, e0], digits[:, e1], digits[:, e2]]
-        count += int(ok.sum())
-    return count
 
 
 def test_criterion_10_enumeration_oracle():

@@ -20,7 +20,6 @@ from quantum3.hempel import (
     to_csv,
 )
 from quantum3.seifert import (
-    SeifertSymbol,
     _gauss_row,
     _half_turns,
     level_route,
@@ -29,9 +28,7 @@ from quantum3.seifert import (
     tv_routed,
 )
 
-
-def sym(text: str) -> SeifertSymbol:
-    return SeifertSymbol.parse(text)
+from helpers import sym
 
 
 def test_periodic_class_examples():

@@ -24,25 +24,7 @@ from quantum3.seifert import (
 )
 from quantum3.statesum import tv, tv_prime
 
-
-def sym(text: str) -> SeifertSymbol:
-    return SeifertSymbol.parse(text)
-
-
-def cotangent_sum(b: int, a: int) -> float:
-    """Float oracle: s(b,a) = (4a)^-1 sum_l cot(pi l/a) cot(pi l b/a).
-    Both arguments are reduced to (-a/2, a/2] before the tangent, since
-    cot has period pi and large l*b would otherwise cost precision."""
-
-    def terms():
-        for l in range(1, a):
-            m = (l * b) % a
-            if 2 * m > a:
-                m -= a
-            ll = l if 2 * l <= a else l - a
-            yield 1.0 / (math.tan(math.pi * ll / a) * math.tan(math.pi * m / a))
-
-    return math.fsum(terms()) / (4 * a)
+from helpers import cotangent_sum, sym
 
 
 def fraction_phase(frac: Fraction) -> complex:

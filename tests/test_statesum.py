@@ -41,14 +41,9 @@ from quantum3.statesum import (
     coloring_weight,
     tv,
     tv_prime,
-    weight_edge,
-    weight_face,
-    weight_tet,
 )
 
-
-def boundary_4_simplex() -> Triangulation:
-    return Triangulation(list(combinations(range(5), 4)))
+from helpers import boundary_4_simplex
 
 
 def dict_frontier_sum(sched: _Schedule, r: int, even_only: bool) -> tuple[CycloNum, int]:
@@ -173,26 +168,22 @@ def racah_sum(i: int, j: int, k: int, l: int, m: int, n: int, r: int, s: int = 1
 
 
 def test_edge_weight_closed_forms():
-    c = Coloring(5, (0, 1, 3))
-    assert weight_edge(c, 0) == CycloNum.one(5)
-    got = weight_edge(c, 1).evaluate(1)
+    assert _edge_weight(0, 5) == CycloNum.one(5)
+    got = _edge_weight(1, 5).evaluate(1)
     assert abs(got - (-2 * math.cos(math.pi / 5))) < 1e-12
     # (-1)^3 [4] and [4] = [1] at r = 5, so the weight is -1.
-    assert abs(weight_edge(c, 2).evaluate(1) - (-1)) < 1e-12
+    assert abs(_edge_weight(3, 5).evaluate(1) - (-1)) < 1e-12
 
 
 def test_face_weight_examples():
-    c3 = Coloring(3, (1, 1, 0))
-    assert abs(weight_face(c3, (0, 1, 2)).evaluate(1) - (-1)) < 1e-12
-    c5 = Coloring(5, (2, 2, 2))
+    assert abs(_face_weight(1, 1, 0, 3).evaluate(1) - (-1)) < 1e-12
     expected = -1.0 / (qint(2, 5) * qint(3, 5) * qint(4, 5))
-    assert abs(weight_face(c5, (0, 1, 2)).evaluate(1) - expected) < 1e-12
+    assert abs(_face_weight(2, 2, 2, 5).evaluate(1) - expected) < 1e-12
 
 
 def test_face_weight_rejects_inadmissible():
-    c = Coloring(5, (1, 1, 1))
     with pytest.raises(ValueError):
-        weight_face(c, (0, 1, 2))
+        _face_weight(1, 1, 1, 5)
 
 
 def test_tet_weight_all_zero_is_one():
@@ -352,11 +343,12 @@ def test_class_tables_equal_per_tuple_tables():
         tet_weights = [_tet_weight(*tup, r) for tup in _row_tuples(np, colors, tet_flat, 6)]
         reps = evaluation_points(r, len(colors) < r - 1)
         p, omega = next(_residue_primes(r))
-        for column in (
+        for domain in (
             statesum._float_column(reps),
             statesum._residue_column(r, evaluation_points(r), p, omega),
         ):
-            _, face_tab, _, tet_tab, _ = statesum._vector_tables(np, rows, column)
+            column, _ = domain
+            _, face_tab, _, tet_tab, _, _ = statesum._vector_tables(np, rows, domain)
             for got, want in ((face_tab, column(face_weights)), (tet_tab, column(tet_weights))):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), r
@@ -479,19 +471,24 @@ def test_termwise_factorization_even_s():
     r, s = 5, 2
     rng = random.Random(7)
     cs = list(enumerate_admissible(t, r))
+
+    def value(weight, c, ids, s):
+        """weight at the colors of c on the edge ids, evaluated at s."""
+        return weight(*(c[e] for e in ids), c.level_r).evaluate(s)
+
     for c in rng.sample(cs, 40):
         c3, cp = split_coloring(c)
         for e in range(len(t.edges)):
-            lhs = weight_edge(c, e).evaluate(s)
-            rhs = weight_edge(c3, e).evaluate(2) * weight_edge(cp, e).evaluate(s)
+            lhs = value(_edge_weight, c, (e,), s)
+            rhs = value(_edge_weight, c3, (e,), 2) * value(_edge_weight, cp, (e,), s)
             assert abs(lhs - rhs) < 1e-10
         for f in t.face_edges:
-            lhs = weight_face(c, f).evaluate(s)
-            rhs = weight_face(c3, f).evaluate(2) * weight_face(cp, f).evaluate(s)
+            lhs = value(_face_weight, c, f, s)
+            rhs = value(_face_weight, c3, f, 2) * value(_face_weight, cp, f, s)
             assert abs(lhs - rhs) < 1e-10
         for slots in t.tet_edges:
-            lhs = weight_tet(c, slots).evaluate(s)
-            rhs = weight_tet(c3, slots).evaluate(2) * weight_tet(cp, slots).evaluate(s)
+            lhs = value(_tet_weight, c, slots, s)
+            rhs = value(_tet_weight, c3, slots, 2) * value(_tet_weight, cp, slots, s)
             assert abs(lhs - rhs) < 1e-10
 
 
@@ -559,9 +556,17 @@ def test_exact_grand_sum_matches_dict_oracle(name, r, even_only):
     assert (grand._num, grand._den, count) == (want._num, want._den, want_count)
 
 
+def _row_bytes(tables) -> int:
+    """Bytes of one state row over tables: an int64 key, an int64 count
+    and one value per column of the edge table."""
+    edge_tab = tables[0]
+    return 16 + edge_tab.itemsize * edge_tab.shape[1]
+
+
 def _recorded_sweeps(monkeypatch, step_bytes: int) -> list:
     """Run later sums afresh with steps of step_bytes and record each
-    sweep as (row_limit, steps, peaks, built): the schedule's step count,
+    sweep as (row_limit, steps, peaks, built): its row limit at
+    step_bytes and its tables' row size, the schedule's step count,
     the live states after every step of every part, and the rows that
     each step built, summed over its color batches before their
     _sort_reduce.  Every color batch must arrive with non-decreasing
@@ -588,12 +593,10 @@ def _recorded_sweeps(monkeypatch, step_bytes: int) -> list:
         finally:
             merging.pop()
 
-    def recording_sweep(sched, s_values, tables, row_limit, **kwargs):
+    def recording_sweep(sched, s_values, tables, **kwargs):
         peaks = []
-        sweeps.append((row_limit, len(sched.order), peaks, []))
-        return _run_frontier_vector(
-            sched, s_values, tables, row_limit, peak_out=peaks, **kwargs
-        )
+        sweeps.append((step_bytes // _row_bytes(tables), len(sched.order), peaks, []))
+        return _run_frontier_vector(sched, s_values, tables, peak_out=peaks, **kwargs)
 
     monkeypatch.setattr(statesum, "_sort_reduce", recording_reduce)
     monkeypatch.setattr(statesum, "_merge", recording_merge)
@@ -637,6 +640,39 @@ def test_color_batches_arrive_sorted(monkeypatch, name, r, step_bytes):
         assert sweeps and all(built for *_, built in sweeps)
     if step_bytes < 16 << 20:
         assert all(len(peaks) > steps for _, steps, peaks, _ in sweeps)
+
+
+@pytest.mark.parametrize("step_bytes", [4006 * 48, 20_000])
+def test_float_and_exact_sweeps_split_alike(monkeypatch, step_bytes):
+    # Each sweep sizes its row limit from its own tables, and both domains
+    # carry 8-byte columns: the float sweep and every prime's exact sweep
+    # split at the same steps and hold the same live states.
+    t = load_asset("s2xs1")
+    peaks = {}
+    for exact in (False, True):
+        sweeps = _recorded_sweeps(monkeypatch, step_bytes)
+        _grand_sum(t, 5, False, exact)
+        peaks[exact] = [(row_limit, p) for row_limit, _, p, _ in sweeps]
+    (want,) = peaks[False]
+    assert len(want[1]) > len(_Schedule(t).order)
+    assert len(peaks[True]) >= 2 and all(got == want for got in peaks[True])
+
+
+def test_sweep_rejects_s_values_of_the_wrong_length():
+    # The tables fix the columns of a sweep, and s_values names them: a
+    # name too few or too many raises, in either domain.
+    import numpy as np
+
+    t = boundary_4_simplex()
+    r = 5
+    reps = evaluation_points(r)
+    rows = statesum._weight_rows(np, r, color_range(r))
+    p, omega = next(_residue_primes(r))
+    for domain in (statesum._float_column(reps), statesum._residue_column(r, reps, p, omega)):
+        tables = statesum._vector_tables(np, rows, domain)
+        for s_values in (reps[:1], reps + (r + 1,)):
+            with pytest.raises(ValueError):
+                _run_frontier_vector(_Schedule(t), s_values, tables)
 
 
 def test_exact_s2xs1_at_r5_is_one():
@@ -703,24 +739,26 @@ def test_vertex_flip_keeps_coloring_weight(name):
     "name, components", [("s3_boundary4simplex", 1), ("s2xs1", 1), ("two spheres", 2)]
 )
 @pytest.mark.parametrize("r", [3, 4, 5])
-def test_forest_sweep_matches_full_sweep(name, components, r):
+def test_forest_sweep_matches_full_sweep(monkeypatch, name, components, r):
     # One coloring per flip orbit, weighted by the orbit's size, gives the
     # sums and counts of the sweep over every coloring: the residues of
     # one prime exactly, the float sums to rounding.
     import numpy as np
 
     t = _grand_case(name)
-    sched, forest = statesum._schedule(t)
+    sched, forest, _ = statesum._schedule(t)
     assert len(forest) == t.vertex_count - components
     reps = evaluation_points(r)
     rows = statesum._weight_rows(np, r, color_range(r))
     p, omega = next(_residue_primes(r))
     tables = statesum._vector_tables(np, rows, statesum._residue_column(r, reps, p, omega))
-    gauged = _run_frontier_vector(sched, reps, tables, 10**9, modulus=p, forest=forest)
-    assert gauged == _run_frontier_vector(sched, reps, tables, 10**9, modulus=p)
+    # A row limit of 10^9: no sweep splits.
+    monkeypatch.setattr(statesum, "_STEP_BYTES", 10**9 * _row_bytes(tables))
+    gauged = _run_frontier_vector(sched, reps, tables, forest=forest)
+    assert gauged == _run_frontier_vector(sched, reps, tables)
     tables = statesum._vector_tables(np, rows, statesum._float_column(reps))
     (grands, count), (want, want_count) = (
-        _run_frontier_vector(sched, reps, tables, 10**9, forest=f) for f in (forest, frozenset())
+        _run_frontier_vector(sched, reps, tables, forest=f) for f in (forest, frozenset())
     )
     assert count == want_count == gauged[1]
     for s, value in want.items():
@@ -748,8 +786,9 @@ def test_float_tables_reject_unreal_weights():
     reps = (1, 2)
     rows = statesum._weight_rows(np, 3, (0, 1))
     tables = statesum._vector_tables(np, rows, statesum._float_column(reps))
-    edge_tab, face_tab, _, tet_tab, _ = tables
+    edge_tab, face_tab, _, tet_tab, _, modulus = tables
     assert all(tab.dtype == np.float64 for tab in (edge_tab, face_tab, tet_tab))
+    assert modulus is None
     edges, *rest = rows
     bent = ([CycloNum.zeta_pow(3, 1)] + edges[1:], *rest)
     with pytest.raises(ArithmeticError, match="not real at s=1"):
@@ -767,7 +806,7 @@ def test_tetrahedron_table_is_compact():
     colors = color_range(r)
     reps = evaluation_points(r)
     rows = statesum._weight_rows(np, r, colors)
-    _, face_tab, face_row, tet_tab, tet_row = statesum._vector_tables(
+    _, face_tab, face_row, tet_tab, tet_row, _ = statesum._vector_tables(
         np, rows, statesum._float_column(reps)
     )
     tet_faces = ((0, 1, 2), (0, 4, 5), (1, 3, 5), (2, 3, 4))
@@ -899,18 +938,20 @@ def test_over_budget_sweep_splits_frontier(monkeypatch):
 
 
 def _float_sweep(t, r: int, row_limit: int, forest=frozenset()):
-    """One all-color float sweep over t at row_limit with the given forest
-    edges: (grand sums, coloring count, live states after every step of
-    every part)."""
+    """One all-color float sweep over t with the given forest edges, its
+    steps sized to row_limit rows of its tables: (grand sums, coloring
+    count, live states after every step of every part)."""
     import numpy as np
 
     reps = evaluation_points(r)
     rows = statesum._weight_rows(np, r, color_range(r))
     tables = statesum._vector_tables(np, rows, statesum._float_column(reps))
     peaks = []
-    grands, count = _run_frontier_vector(
-        _Schedule(t), reps, tables, row_limit, peak_out=peaks, forest=forest
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statesum, "_STEP_BYTES", row_limit * _row_bytes(tables))
+        grands, count = _run_frontier_vector(
+            _Schedule(t), reps, tables, peak_out=peaks, forest=forest
+        )
     return grands, count, peaks
 
 
@@ -938,7 +979,7 @@ def test_split_parts_whose_children_all_fail_their_checks():
     # check: such a part ends with no rows, records its 0 live states,
     # and adds nothing at the merge-back.
     t = load_asset("s2xs1")
-    _, forest = statesum._schedule(t)
+    _, forest, _ = statesum._schedule(t)
     whole, whole_count, _ = _float_sweep(t, 5, 10**9, forest)
     split, split_count, split_peaks = _float_sweep(t, 5, 30, forest)
     assert 0 in split_peaks
@@ -999,7 +1040,7 @@ def test_count_guard_before_doubling():
 
 
 @pytest.mark.parametrize("r", [4, 5])
-def test_engine_handles_an_edge_that_fills_two_slots(r):
+def test_engine_handles_an_edge_that_fills_two_slots(monkeypatch, r):
     # Merging two edge ids of the sphere makes one edge fill two slots of
     # a face or a tetrahedron for some merges; the engine must place its
     # digit at every slot it fills.  The oracle is the enumeration.
@@ -1011,6 +1052,8 @@ def test_engine_handles_an_edge_that_fills_two_slots(r):
     rows = statesum._weight_rows(np, r, colors)
     column = statesum._float_column(reps)
     tables = statesum._vector_tables(np, rows, column)
+    # A row limit of 10^9: no sweep splits.
+    monkeypatch.setattr(statesum, "_STEP_BYTES", 10**9 * _row_bytes(tables))
     for i, j in combinations(range(len(t.edges)), 2):
 
         def merged(ids):
@@ -1022,7 +1065,7 @@ def test_engine_handles_an_edge_that_fills_two_slots(r):
             tet_edges=tuple(merged(slots) for slots in t.tet_edges),
         )
         weights = [coloring_weight(m, c) for c in enumerate_admissible(m, r)]
-        grands, count = statesum._run_frontier_vector(_Schedule(m), reps, tables, 10**9)
+        grands, count = statesum._run_frontier_vector(_Schedule(m), reps, tables)
         assert count == len(weights), (i, j)
         for s in reps:
             want = sum(w.evaluate(s) for w in weights).real
