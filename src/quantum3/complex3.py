@@ -231,37 +231,38 @@ def admissible_triple(i: int, j: int, k: int, r: int) -> bool:
     return i + j >= k and j + k >= i and k + i >= j
 
 
-def greedy_edge_order(t: Triangulation) -> tuple[int, ...]:
-    """An assignment order for edges that completes faces as early as possible.
+def edge_order(t: Triangulation) -> tuple[int, ...]:
+    """An assignment order for the edges of t that keeps the frontier narrow.
 
-    At each step prefer the edge closing the most faces whose other two
-    edges are already placed, then the one advancing the most faces with
-    one edge placed, then the lowest edge id.
+    The order is built from its end.  A set R of the edges placed last
+    grows one edge at a time: each step adds the edge e that minimises
+    |N(R + e) - (R + e)|, ties going to the lowest edge id, where N(X) is
+    the set of edges that share a face or a tetrahedron with an edge of X.
+    The order is R read backwards.  |N(R) - R| is the number of placed
+    edges with a face or tetrahedron still incomplete just before R's
+    edges are placed, the live width of the frontier sum there, so each
+    step keeps the width where the new edge lands as small as it can.
     """
-    placed: set[int] = set()
-    order: list[int] = []
-    remaining = set(range(len(t.edges)))
-    while remaining:
-        best = None
-        best_key = None
-        for e in remaining:
-            closes = 0
-            advances = 0
-            for f_edges in t.face_edges:
-                if e in f_edges:
-                    others = sum(1 for x in f_edges if x != e and x in placed)
-                    if others == 2:
-                        closes += 1
-                    elif others == 1:
-                        advances += 1
-            key = (-closes, -advances, e)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = e
-        order.append(best)
-        placed.add(best)
-        remaining.remove(best)
-    return tuple(order)
+    n = len(t.edges)
+    # near[e]: bit mask of e and the edges sharing a face or tetrahedron with it.
+    near = [1 << e for e in range(n)]
+    for group in chain(t.face_edges, t.tet_edges):
+        mask = 0
+        for e in group:
+            mask |= 1 << e
+        for e in group:
+            near[e] |= mask
+    tail = reach = 0
+    rest = list(range(n))
+    out = []
+    while rest:
+        # min keeps the first of equal widths, and rest is ascending.
+        e = min(rest, key=lambda e: ((reach | near[e]) & ~(tail | 1 << e)).bit_count())
+        rest.remove(e)
+        out.append(e)
+        tail |= 1 << e
+        reach |= near[e]
+    return tuple(reversed(out))
 
 
 def faces_completed_at(t: Triangulation, order: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -278,11 +279,11 @@ def enumerate_admissible(
 ) -> Iterator[Coloring]:
     """Yield every admissible coloring exactly once, deterministically.
 
-    Backtracking over edges in the greedy order; a branch dies as soon as
-    a completed face fails the admissibility conditions.
+    Backtracking over edges in edge_order; a branch dies as soon as a
+    completed face fails the admissibility conditions.
     """
     colors_allowed = color_range(r, even_only)
-    order = greedy_edge_order(t)
+    order = edge_order(t)
     face_sched = faces_completed_at(t, order)
     n_edges = len(t.edges)
     assignment = [0] * n_edges

@@ -9,16 +9,17 @@ and the square half-sums Q_b.  Terms with z > r-2 always vanish because
 capped at r-2; the denominator arguments stay within 0..r-2 for
 admissible colors.
 
-Colorings are never enumerated individually: edges are assigned in the
-greedy face-completing order and partial sums are merged over the colors
-of edges whose faces and tetrahedra are all complete, which collapses
-the exponential stream to a frontier of active edges.  One vectorized
-frontier engine does this over int64 keys, with one value column per
-evaluation point, and one function (_grand_sum) with one cache serves
-both arithmetic domains.  It builds the weights once per grand sum and
-lays each domain's values out in the same tables, faces and tetrahedra
-alike compact: one row per admissible color tuple, behind an int32 row
-map that is -1 where a tuple is inadmissible.  Weights are built per
+Colorings are never enumerated individually: edges are assigned in
+complex3.edge_order, which keeps the frontier narrow, and partial sums
+are merged over the colors of edges whose faces and tetrahedra are all
+complete, which collapses the exponential stream to a frontier of
+active edges.  One vectorized frontier engine does this over int64
+keys, with one value column per evaluation point, and one function
+(_grand_sum) with one cache serves both arithmetic domains.  It builds
+the weights once per grand sum and lays each domain's values out in the
+same tables, faces and tetrahedra alike compact: one row per admissible
+color tuple, behind an int32 row map that is -1 where a tuple is
+inadmissible.  Weights are built per
 class, not per tuple: a face's class is its sorted colors, and a
 tetrahedron's is the pair of multisets of its face and square
 half-sums, which the tetrahedral and Regge symmetries keep and on which
@@ -61,8 +62,8 @@ from quantum3.complex3 import (
     Triangulation,
     admissible_triple,
     color_range,
+    edge_order,
     faces_completed_at,
-    greedy_edge_order,
 )
 from quantum3.cyclo import (
     CycloNum,
@@ -171,7 +172,8 @@ def coloring_weight(t: Triangulation, c: Coloring) -> CycloNum:
 
 class _Schedule:
     """Static elimination data for the frontier sum over one triangulation,
-    in the greedy face-completing assignment order.
+    in the assignment order of complex3.edge_order (peak width 9 on the
+    sphere and 15 on s2xs1).
 
     active_after[p] holds the edges live after step p (assigned, with a
     face or tetrahedron still to complete) in the order of their key
@@ -189,7 +191,7 @@ class _Schedule:
     that fills two slots needs no special case."""
 
     def __init__(self, t: Triangulation):
-        order = greedy_edge_order(t)
+        order = edge_order(t)
         pos = {e: p for p, e in enumerate(order)}
         n = len(order)
         self.order = order
@@ -236,10 +238,11 @@ class _Schedule:
 # Bytes of the rows that one frontier step may build: the row limit of a
 # sweep is this over the bytes of one row.  It is sized to the step, not
 # to memory: small steps keep their gathers and sorts in cache.  On
-# gauge-fixed all-color float s2xs1, steps of 4 to 64 MiB took 0.32 to
-# 0.46 s at r=6 and 0.59 to 0.83 s at r=7 with no trend (two runs each
-# on a 2-core machine), while max RSS rose from 35 to 57 MB and from 37
-# to 86 MB.
+# gauge-fixed all-color float s2xs1 (one tv call in a fresh process, two
+# runs each on a shared 2-core machine), steps of 4 to 64 MiB took 0.16
+# to 0.25 s at r=6 and, from 8 MiB up, 0.25 to 0.43 s at r=7 with no
+# trend (4 MiB: 0.58 s at r=7), while max RSS rose from 34 to 39 MB and
+# from 36 to 63 MB.
 _STEP_BYTES = 16 << 20
 
 
@@ -498,12 +501,15 @@ def _run_frontier_vector(
     and a value table: face_tab for a loose face, and for a tetrahedron
     tet_tab times the weights of the faces it absorbs
     (_Schedule.absorbed), one table per pattern of absorbed face slots,
-    built once per sweep.  Per color, one gather of a check's row map
-    gives both its admissibility mask (rows >= 0, combined over the
-    checks in place) and the rows its values are read from.  Table
-    indices are int32: each digit is extracted once per step, and a
-    check's index is built in one array from the digits (_grand_sum keeps
-    nc^6 within int32).
+    built once per sweep.  The first check's table also carries the edge
+    weight of the new edge's color (one scaled copy per table, color and
+    multiplier, built once per sweep), so a child row is multiplied by
+    the edge weight only at a step with no check.  Per color, one gather
+    of a check's row map gives both its admissibility mask (rows >= 0,
+    combined over the checks in place) and the rows its values are read
+    from.  Table indices are int32: each digit is extracted once per
+    step, and a check's index is built in one array from the digits
+    (_grand_sum keeps nc^6 within int32).
 
     A step never builds more than row_limit rows, _STEP_BYTES over the
     bytes of one row.  A parent has at most nc children, so two or more
@@ -523,7 +529,8 @@ def _run_frontier_vector(
     and a part still over the limit is split again on a lower one.  A
     merged frontier is not bounded by row_limit: it is the whole frontier
     after the retirement step.  On all-color float s2xs1 at 16 MiB steps
-    the largest merge took in 3 rows at the last step, at r=6 and at r=7.
+    r=6 never splits, and each of the 3 merge-backs at r=7 takes in 3
+    rows at the last step.
     peak_out, when given, receives the live states after every step of
     every part, in the order they run, and no merged frontier.  Raises
     ArithmeticError at the first merge whose counts pass int64 (_merge
@@ -550,22 +557,36 @@ def _run_frontier_vector(
     digit_mask = (1 << bits) - 1
     tet_digits = np.unravel_index(np.flatnonzero(tet_row >= 0), (nc,) * 6)
     fused_tabs: dict[tuple, object] = {}
+    scaled_tabs: dict[tuple, object] = {}
 
     def reduce(a) -> None:
         if modulus is not None:
             np.remainder(a, modulus, out=a)
 
-    def fused(absorbed):
-        """tet_tab times the weights of the faces on the absorbed slot
-        triples, row by row (cached per pattern)."""
-        if absorbed not in fused_tabs:
+    def table(kind):
+        """The value table of a check: face_tab for a loose face (kind
+        None), else tet_tab times the weights of the faces on the absorbed
+        slot triples kind, row by row (cached per pattern)."""
+        if kind is None:
+            return face_tab
+        if kind not in fused_tabs:
             out = tet_tab
-            for a, b, c in absorbed:
+            for a, b, c in kind:
                 face = (tet_digits[a] * nc + tet_digits[b]) * nc + tet_digits[c]
                 out = out * face_tab[face_row[face]]
                 reduce(out)
-            fused_tabs[absorbed] = out
-        return fused_tabs[absorbed]
+            fused_tabs[kind] = out
+        return fused_tabs[kind]
+
+    def scaled(kind, x, edge_row, mult):
+        """table(kind) times the edge row of color x (doubled when mult is
+        2), cached per kind, color and multiplier: a step's first check
+        carries the edge weight, so no child row is multiplied by it."""
+        if (kind, x, mult) not in scaled_tabs:
+            out = table(kind) * edge_row
+            reduce(out)
+            scaled_tabs[kind, x, mult] = out
+        return scaled_tabs[kind, x, mult]
 
     def sweep(p0: int, frontier: list, stop: int):
         """The rows [keys, vals, cnts] of frontier, which hold the states
@@ -621,10 +642,12 @@ def _run_frontier_vector(
             key_runs, val_runs, cnt_runs, mults = [], [], [], []
             digits: dict[int, object] = {}
 
-            def check(ids, tab, row_map):
-                """(tab, row_map, base, stride) of the check on the edges
-                ids: color x of e reads row_map at base + x * stride, the
-                stride being the place values of every slot e fills."""
+            def check(ids, kind):
+                """(kind, row_map, base, stride) of the check on the edges
+                ids, its values in table(kind): color x of e reads row_map
+                (face_row for a loose face, else tet_row) at base + x *
+                stride, the stride being the place values of every slot e
+                fills."""
                 base = np.zeros(len(keys), dtype=np.int32)
                 stride = 0
                 for eid in ids:
@@ -636,13 +659,10 @@ def _run_frontier_vector(
                     if eid not in digits:
                         digits[eid] = ((keys >> bits * rank[eid]) & digit_mask).astype(np.int32)
                     base += digits[eid]
-                return tab, row_map, base, stride
+                return kind, face_row if kind is None else tet_row, base, stride
 
-            checks = [check(f, face_tab, face_row) for f in sched.loose_faces[p]]
-            checks += [
-                check(slots, fused(a), tet_row)
-                for slots, a in zip(sched.tet_checks[p], sched.absorbed[p])
-            ]
+            checks = [check(f, None) for f in sched.loose_faces[p]]
+            checks += [check(slots, a) for slots, a in zip(sched.tet_checks[p], sched.absorbed[p])]
             del digits
             for x, edge_row, mult in gauged if e in forest else colors:
                 rows = [row_map.take(base + x * w) for _, row_map, base, w in checks]
@@ -658,18 +678,25 @@ def _run_frontier_vector(
 
                 # Factor order edge, loose faces, tets, parent value, which
                 # fixes the float rounding; one gathered factor at a time,
-                # each residue product reduced before the next.
+                # each residue product reduced before the next.  The edge
+                # row rides on the first check's table, so only a step with
+                # no check multiplies rows by it.
+                tabs = [table(kind) for kind, *_ in checks]
+                if checks:
+                    tabs[0] = scaled(checks[0][0], x, edge_row, mult)
                 factors = chain(
-                    (tab.take(pick(idx), axis=0) for (tab, *_), idx in zip(checks, rows)),
+                    (tab.take(pick(idx), axis=0) for tab, idx in zip(tabs, rows)),
                     (pick(vals),),
                 )
-                new_vals = next(factors) * edge_row
-                for fac in factors:
+                new_vals = next(factors)
+                if not checks:
+                    new_vals = new_vals * edge_row
                     reduce(new_vals)
+                for fac in factors:
                     new_vals *= fac
+                    reduce(new_vals)
                     del fac
-                reduce(new_vals)
-                del factors, rows
+                del factors, rows, tabs
                 child = pick(kept)
                 if new_shift is not None:
                     child = child | np.int64(x << new_shift)
@@ -704,11 +731,12 @@ def _run_frontier_vector(
 
 def _spanning_forest(t: Triangulation, sched: _Schedule) -> frozenset[int]:
     """The ids of a spanning forest of the 1-skeleton of t: Kruskal over
-    the edges by descending last use, ties going to the earliest
-    assigned, so the forest favours the edges that stay live longest.  On
-    all-color float s2xs1 its sweeps built 1.72M rows at r=6 and 2.54M at
-    r=7, against 2.12M and 3.88M by descending live span (last use -
-    assignment position) and 13.8M at r=6 in assignment order.
+    the edges by descending live span (last use - assignment position),
+    ties going to the earliest assigned, so the forest favours the edges
+    that stay live longest.  On all-color float s2xs1 in edge_order its
+    sweeps held 0.91M live states in all (the sum of peak_out) at r=6 and
+    1.33M at r=7, against 1.16M and 2.02M by descending last use and
+    6.15M and 21.3M in assignment order.
 
     The vertex flips that let a forest edge skip half its colors (see
     the module docstring) assume that every edge joins two distinct
@@ -724,7 +752,7 @@ def _spanning_forest(t: Triangulation, sched: _Schedule) -> frozenset[int]:
         return v
 
     forest = set()
-    for e in sorted(pos, key=lambda e: (-sched.last_use[e], pos[e])):
+    for e in sorted(pos, key=lambda e: (pos[e] - sched.last_use[e], pos[e])):
         a, b = (find(v) for v in t.edges[e])
         if a != b:
             root[a] = b

@@ -300,14 +300,14 @@ def test_engine_limits_exit_1(exc, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "name, r, text",
     [
-        ("s2xs1", 10, "too wide to pack"),
+        ("s2xs1", 18, "too wide to pack"),
         ("s3_boundary4simplex", 38, "pass int32"),
         ("five spheres", 7, "passes int64"),
     ],
 )
 def test_real_engine_limits_exit_1(name, r, text, tmp_path, capsys):
-    # The engine's own limits, unpatched: 62-bit keys (18 slots of 4 bits
-    # at r=10), int32 table indices (37^6 digit tuples at r=38) and int64
+    # The engine's own limits, unpatched: 62-bit keys (15 slots of 5 bits
+    # at r=18), int32 table indices (37^6 digit tuples at r=38) and int64
     # counts (16064^5 ~ 1.1e21 colorings of five disjoint spheres at r=7).
     if name == "five spheres":
         sphere = load_asset("s3_boundary4simplex")

@@ -12,9 +12,9 @@ from quantum3.complex3 import (
     TriangulationError,
     admissible_triple,
     disjoint_union,
+    edge_order,
     enumerate_admissible,
     faces_completed_at,
-    greedy_edge_order,
     is_admissible,
     load_asset,
     load_triangulation,
@@ -115,7 +115,7 @@ def test_admissible_triple_cases():
 
 def test_greedy_order_is_permutation_and_faces_partitioned():
     for t in (boundary_4_simplex(), load_asset("s2xs1.json")):
-        order = greedy_edge_order(t)
+        order = edge_order(t)
         assert sorted(order) == list(range(len(t.edges)))
         sched = faces_completed_at(t, order)
         seen = [f for fs in sched for f in fs]

@@ -17,9 +17,9 @@ from quantum3.complex3 import (
     admissible_triple,
     color_range,
     disjoint_union,
+    edge_order,
     enumerate_admissible,
     faces_completed_at,
-    greedy_edge_order,
     is_admissible,
     load_asset,
     normal_surface_euler_parity,
@@ -658,6 +658,17 @@ def test_float_and_exact_sweeps_split_alike(monkeypatch, step_bytes):
     assert len(peaks[True]) >= 2 and all(got == want for got in peaks[True])
 
 
+@pytest.mark.parametrize("r, even_only, live", [(7, True, 803_699), (6, False, 914_060)])
+def test_s2xs1_float_sweeps_hold_known_live_states(monkeypatch, r, even_only, live):
+    # The assignment order and the spanning forest set how many states a
+    # sweep holds: these totals at 16 MiB steps guard against a wider
+    # order or a worse forest.
+    sweeps = _recorded_sweeps(monkeypatch, 16 << 20)
+    _grand_sum(load_asset("s2xs1"), r, even_only, False)
+    ((_, _, peaks, _),) = sweeps
+    assert sum(peaks) == live
+
+
 def test_sweep_rejects_s_values_of_the_wrong_length():
     # The tables fix the columns of a sweep, and s_values names them: a
     # name too few or too many raises, in either domain.
@@ -695,9 +706,9 @@ def test_exact_s2xs1_is_one_with_and_without_a_self_flipped_color(r, count):
 
 
 def _random_admissible(t, r: int, rng: random.Random) -> Coloring:
-    """A seeded random admissible coloring: depth-first over the greedy
-    order, each edge trying its colors in a shuffled order."""
-    order = greedy_edge_order(t)
+    """A seeded random admissible coloring: depth-first over edge_order,
+    each edge trying its colors in a shuffled order."""
+    order = edge_order(t)
     completed = faces_completed_at(t, order)
     colors = [0] * len(t.edges)
 
@@ -856,16 +867,16 @@ def test_exact_sum_shares_engine_limits():
     with pytest.raises(ArithmeticError, match="int64"):
         tv(five, 7, 1, method="exact")
     with pytest.raises(ValueError, match="too wide to pack"):
-        tv(load_asset("s2xs1"), 10, 1, method="exact")
+        tv(load_asset("s2xs1"), 18, 1, method="exact")
 
 
 @pytest.mark.parametrize(
-    "name, peak_width", [("s3_boundary4simplex", 9), ("s2xs1", 18)]
+    "name, peak_width", [("s3_boundary4simplex", 9), ("s2xs1", 15)]
 )
-def test_schedule_is_greedy_with_known_peak_width(name, peak_width):
+def test_schedule_follows_edge_order_with_known_peak_width(name, peak_width):
     t = load_asset(name)
     sched = _Schedule(t)
-    assert sched.order == greedy_edge_order(t)
+    assert sched.order == edge_order(t)
     assert max(len(a) for a in sched.active_after) == peak_width
     # Vector keys: one digit per live edge, as many digits as the peak
     # width, and the edges that retire at a step hold the lowest digits of
@@ -884,11 +895,13 @@ def test_key_packing_limit_raises_before_tables(monkeypatch):
 
     monkeypatch.setattr(statesum, "_vector_tables", no_tables)
     t = load_asset("s2xs1")
-    # 18 slots: 8 colors (r=9) take 3 bits each, 54 in all; 9 colors
-    # (r=10) take 4 bits, 72 in all.
-    assert _key_bits(_Schedule(t), 8) == 3
+    # 15 slots: 16 colors (r=17) take 4 bits each, 60 in all; 17 colors
+    # (r=18) take 5 bits, 75 in all.
+    assert _key_bits(_Schedule(t), 16) == 4
     with pytest.raises(ValueError, match="too wide to pack"):
-        tv(t, 10, 1, method="float")
+        _key_bits(_Schedule(t), 17)
+    with pytest.raises(ValueError, match="too wide to pack"):
+        tv(t, 18, 1, method="float")
     # The refined sum packs color indices: 5 even colors at r=11 fit.
     assert _key_bits(_Schedule(t), 5) == 3
 
@@ -1020,7 +1033,7 @@ def test_count_guard_at_the_merge_of_split_parts():
 def test_count_guard_before_doubling():
     # Counts double at a forest edge's colors, after the merge's exact
     # check, so a doubling that passes int64 raises instead of wrapping.
-    # Free edges (in no face) come last in the greedy order; passed as
+    # Free edges (in no face) come last in edge_order; passed as
     # forest edges at r=3 each keeps its one color 0, doubled, so 58 of
     # them give the sphere's 16 colorings 2^62 in all, which fit int64,
     # and 59 give 2^63 at the last doubling, which do not.  Free edges
