@@ -106,18 +106,15 @@ class CycloNum:
         """Build the element sum coeffs[k] * zeta^k / den; exponents fold mod 2r."""
         modulus = _ring_modulus(r)
         folded = [0] * (2 * r)
-        common = den
-        items = list(coeffs)
-        fracs = [Fraction(c) for c in items]
-        for f in fracs:
-            common = common * f.denominator // math.gcd(common, f.denominator)
-        if common == 0:
+        if den == 0:
             raise ZeroDivisionError("zero denominator")
+        fracs = [Fraction(c) for c in coeffs]
+        common = math.lcm(1, *(f.denominator for f in fracs))
         for k, f in enumerate(fracs):
             folded[k % (2 * r)] += int(f * common)
         num = _reduce_mod(folded, modulus)
         self._r = r
-        self._num, self._den = _normalize(num, common)
+        self._num, self._den = _normalize(num, common * den)
 
     @classmethod
     def _raw(cls, r: int, num: list[int], den: int) -> CycloNum:

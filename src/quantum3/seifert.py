@@ -126,7 +126,8 @@ def same_manifold(sym_a: SeifertSymbol, sym_b: SeifertSymbol) -> bool:
 def dedekind_sum(b: int, a: int) -> Fraction:
     """Exact Dedekind sum s(b, a) via the reciprocity recursion.  The
     defining cotangent sum (4a)^{-1} sum_l cot(pi l/a) cot(pi l b/a) is
-    kept as a floating-point oracle in the tests."""
+    kept as a floating-point oracle in cli._cotangent_sum, which the
+    dedekind verify suite and the tests compare against."""
     if a < 1:
         raise ValueError(f"modulus must be >= 1, got {a}")
     if gcd(a, b) != 1:

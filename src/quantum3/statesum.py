@@ -116,8 +116,7 @@ def _face_weight(i: int, j: int, k: int, r: int) -> CycloNum:
 
 # The slots (i, j, k, l, m, n) = (0..5) of a tetrahedron's four faces,
 # (i, j, k), (i, m, n), (j, l, n) and (k, l, m), and of its three squares,
-# the opposite pairs (i, l), (j, m), (k, n) taken two at a time (written
-# out in _tet_weight, which runs once per coloring in coloring_weight).
+# the opposite pairs (i, l), (j, m), (k, n) taken two at a time.
 _TET_FACES = ((0, 1, 2), (0, 4, 5), (1, 3, 5), (2, 3, 4))
 _TET_SQUARES = ((0, 1, 3, 4), (0, 2, 3, 5), (1, 2, 4, 5))
 
@@ -127,12 +126,13 @@ def _tet_weight(i: int, j: int, k: int, l: int, m: int, n: int, r: int) -> Cyclo
     each face is checked for admissibility, and the z-sum is _racah of the
     sorted face and square half-sums, which the tetrahedral and Regge
     symmetries keep, so all tuples of one class share one evaluation."""
-    faces = ((i, j, k), (i, m, n), (j, l, n), (k, l, m))
+    colors = (i, j, k, l, m, n)
+    faces = [(colors[a], colors[b], colors[c]) for a, b, c in _TET_FACES]
     for tri in faces:
         if not admissible_triple(*tri, r):
             raise ValueError(f"tetra face colors {tri} not admissible at r={r}")
-    halves = sorted((a + b + c) // 2 for (a, b, c) in faces)
-    squares = sorted([(i + j + l + m) // 2, (i + k + l + n) // 2, (j + k + m + n) // 2])
+    halves = sorted(sum(tri) // 2 for tri in faces)
+    squares = sorted(sum(colors[q] for q in sq) // 2 for sq in _TET_SQUARES)
     return _racah(tuple(halves), tuple(squares), r)
 
 
@@ -182,13 +182,15 @@ class _Schedule:
     the lowest digits of its parents' keys, and slot_count, the peak
     width, is the number of digits a key needs.
 
-    Each tetrahedron that completes at a step absorbs the faces that
-    complete with it (they all pass through the new edge), each face
-    once: absorbed[p] gives, per tetrahedron of tet_checks[p], the slot
-    triples of the faces it absorbs, and loose_faces[p] the completing
-    faces that no tetrahedron absorbed.  A face is matched to a slot
-    triple by its edge ids, and face weights are symmetric, so an edge
-    that fills two slots needs no special case."""
+    face_checks[p] and tet_checks[p] hold the faces and tetrahedra that
+    complete at step p.  Each tetrahedron absorbs the faces that complete
+    with it (they all pass through the new edge), each face once, and
+    checks[p] is the one list the engine reads: (edge ids, kind) pairs,
+    the faces that no tetrahedron absorbed first (kind None), then the
+    tetrahedra, each with the slot triples of the faces it absorbs as its
+    kind.  A face is matched to a slot triple by its edge ids, and face
+    weights are symmetric, so an edge that fills two slots needs no
+    special case."""
 
     def __init__(self, t: Triangulation):
         order = edge_order(t)
@@ -217,8 +219,7 @@ class _Schedule:
         ]
         self.slot_count = max(map(len, self.active_after))
 
-        self.absorbed: list[list[tuple]] = []
-        self.loose_faces: list[list[tuple]] = []
+        self.checks: list[list[tuple]] = []
         for faces, tets in zip(self.face_checks, self.tet_checks):
             loose = list(faces)
             absorbed = []
@@ -230,9 +231,8 @@ class _Schedule:
                     if face is not None:
                         loose.remove(face)
                         mine.append(tri)
-                absorbed.append(tuple(mine))
-            self.absorbed.append(absorbed)
-            self.loose_faces.append(loose)
+                absorbed.append((slots, tuple(mine)))
+            self.checks.append([(f, None) for f in loose] + absorbed)
 
 
 # Bytes of the rows that one frontier step may build: the row limit of a
@@ -347,14 +347,10 @@ def _weight_rows(np, r: int, colors: tuple[int, ...]):
     face_adm = np.array(
         [admissible_triple(*tri, r) for tri in iproduct(colors, repeat=3)]
     ).reshape(nc, nc, nc)
-    # Tetrahedron (i, j, k, l, m, n) has faces (i, j, k), (i, m, n),
-    # (j, l, n) and (k, l, m); each term below places one on its axes.
-    tet_adm = (
-        face_adm[:, :, :, None, None, None]
-        & face_adm[:, None, None, None, :, :]
-        & face_adm[None, :, None, :, None, :]
-        & face_adm[None, None, :, :, :, None]
-    )
+    # Each face of _TET_FACES places face_adm on its (ascending) slot axes.
+    tet_adm = np.ones((nc,) * 6, dtype=bool)
+    for tri in _TET_FACES:
+        tet_adm &= np.expand_dims(face_adm, tuple(q for q in range(6) if q not in tri))
 
     def rows(adm, key, weight):
         flat = np.flatnonzero(adm)
@@ -483,8 +479,9 @@ def _run_frontier_vector(
     (tables over the colors 0..r-2, so a digit is its color; see the
     module docstring and _spanning_forest).  At the step of a forest edge
     only the colors x with 2x <= r-2 are visited, and where 2x < r-2 the
-    edge row is doubled and the batch's counts are doubled at the merge
-    (_merge).  An empty forest sums every coloring.
+    color's multiplier is 2: its edge weight is doubled, and its batch's
+    counts are doubled at the merge (_merge).  An empty forest sums every
+    coloring.
 
     The key holds the color index of every frontier edge as one digit, in
     the order of sched.active_after: the edges that retire at a step hold
@@ -496,20 +493,20 @@ def _run_frontier_vector(
     with no sort, and the step ends with one _merge of its batches, as a
     split ends with one _merge of its parts.
 
-    Each step makes one list of checks: the loose faces, then the
-    completing tetrahedra.  A check reads a row map (face_row or tet_row)
-    and a value table: face_tab for a loose face, and for a tetrahedron
-    tet_tab times the weights of the faces it absorbs
-    (_Schedule.absorbed), one table per pattern of absorbed face slots,
-    built once per sweep.  The first check's table also carries the edge
-    weight of the new edge's color (one scaled copy per table, color and
-    multiplier, built once per sweep), so a child row is multiplied by
-    the edge weight only at a step with no check.  Per color, one gather
-    of a check's row map gives both its admissibility mask (rows >= 0,
-    combined over the checks in place) and the rows its values are read
-    from.  Table indices are int32: each digit is extracted once per
-    step, and a check's index is built in one array from the digits
-    (_grand_sum keeps nc^6 within int32).
+    A step reads its checks from one list, sched.checks[p]: the loose
+    faces, then the completing tetrahedra.  A check reads a row map
+    (face_row or tet_row) and the value table of its kind, which one
+    builder makes once per sweep: face_tab for a loose face, and for a
+    tetrahedron tet_tab times the weights of the faces it absorbs.  For
+    the first check, the builder also folds in the edge weight of the
+    new edge's color times its multiplier, one table per kind, color and
+    multiplier, so a child row is multiplied by the edge weight only at
+    a step with no check.  Per color, one gather of a check's row map
+    gives both its admissibility mask (rows >= 0, combined over the
+    checks in place) and the rows its values are read from.  Table
+    indices are int32: each digit is extracted once per step, and a
+    check's index is built in one array from the digits (_grand_sum
+    keeps nc^6 within int32).
 
     A step never builds more than row_limit rows, _STEP_BYTES over the
     bytes of one row.  A parent has at most nc children, so two or more
@@ -543,50 +540,44 @@ def _run_frontier_vector(
     # A row is an int64 key, an int64 count and one value per column.
     row_limit = _STEP_BYTES // (16 + dtype.itemsize * ns)
     # A forest edge takes only the colors x with 2x <= nc - 1 = r - 2; an x
-    # with 2x < r - 2 stands for its flip r - 2 - x too, so its edge row
-    # and its batch's counts double.
-    doubled = edge_tab * 2
-    if modulus is not None:
-        doubled %= modulus
-    colors = [(x, edge_tab[x], 1) for x in range(nc)]
-    gauged = [
-        (x, edge_tab[x], 1) if 2 * x == nc - 1 else (x, doubled[x], 2)
-        for x in range((nc + 1) // 2)
-    ]
+    # with 2x < r - 2 stands for its flip r - 2 - x too, so its edge weight
+    # and its batch's counts double (mult 2).
+    colors = [(x, 1) for x in range(nc)]
+    gauged = [(x, 1 if 2 * x == nc - 1 else 2) for x in range((nc + 1) // 2)]
     bits = _key_bits(sched, nc)
     digit_mask = (1 << bits) - 1
     tet_digits = np.unravel_index(np.flatnonzero(tet_row >= 0), (nc,) * 6)
-    fused_tabs: dict[tuple, object] = {}
-    scaled_tabs: dict[tuple, object] = {}
+    built: dict[tuple, object] = {}
 
     def reduce(a) -> None:
         if modulus is not None:
             np.remainder(a, modulus, out=a)
 
-    def table(kind):
+    def edge(x, mult):
+        out = edge_tab[x] * mult
+        reduce(out)
+        return out
+
+    def table(kind, x=None, mult=1):
         """The value table of a check: face_tab for a loose face (kind
         None), else tet_tab times the weights of the faces on the absorbed
-        slot triples kind, row by row (cached per pattern)."""
-        if kind is None:
+        slot triples kind, row by row; given a color x, that table times
+        the edge weight of x times mult, for a step's first check.  Cached
+        per (kind, x, mult); only the arrays made here are reduced."""
+        if kind is None and x is None:
             return face_tab
-        if kind not in fused_tabs:
-            out = tet_tab
-            for a, b, c in kind:
-                face = (tet_digits[a] * nc + tet_digits[b]) * nc + tet_digits[c]
-                out = out * face_tab[face_row[face]]
+        if (kind, x, mult) not in built:
+            if x is not None:
+                out = table(kind) * edge(x, mult)
                 reduce(out)
-            fused_tabs[kind] = out
-        return fused_tabs[kind]
-
-    def scaled(kind, x, edge_row, mult):
-        """table(kind) times the edge row of color x (doubled when mult is
-        2), cached per kind, color and multiplier: a step's first check
-        carries the edge weight, so no child row is multiplied by it."""
-        if (kind, x, mult) not in scaled_tabs:
-            out = table(kind) * edge_row
-            reduce(out)
-            scaled_tabs[kind, x, mult] = out
-        return scaled_tabs[kind, x, mult]
+            else:
+                out = tet_tab
+                for a, b, c in kind:
+                    face = (tet_digits[a] * nc + tet_digits[b]) * nc + tet_digits[c]
+                    out = out * face_tab[face_row[face]]
+                    reduce(out)
+            built[kind, x, mult] = out
+        return built[kind, x, mult]
 
     def sweep(p0: int, frontier: list, stop: int):
         """The rows [keys, vals, cnts] of frontier, which hold the states
@@ -661,10 +652,9 @@ def _run_frontier_vector(
                     base += digits[eid]
                 return kind, face_row if kind is None else tet_row, base, stride
 
-            checks = [check(f, None) for f in sched.loose_faces[p]]
-            checks += [check(slots, a) for slots, a in zip(sched.tet_checks[p], sched.absorbed[p])]
+            checks = [check(ids, kind) for ids, kind in sched.checks[p]]
             del digits
-            for x, edge_row, mult in gauged if e in forest else colors:
+            for x, mult in gauged if e in forest else colors:
                 rows = [row_map.take(base + x * w) for _, row_map, base, w in checks]
                 masks = (idx >= 0 for idx in rows)
                 mask = next(masks, None)
@@ -679,18 +669,19 @@ def _run_frontier_vector(
                 # Factor order edge, loose faces, tets, parent value, which
                 # fixes the float rounding; one gathered factor at a time,
                 # each residue product reduced before the next.  The edge
-                # row rides on the first check's table, so only a step with
-                # no check multiplies rows by it.
-                tabs = [table(kind) for kind, *_ in checks]
-                if checks:
-                    tabs[0] = scaled(checks[0][0], x, edge_row, mult)
+                # weight rides on the first check's table, so only a step
+                # with no check multiplies rows by it.
+                tabs = [
+                    table(kind, x, mult) if q == 0 else table(kind)
+                    for q, (kind, *_) in enumerate(checks)
+                ]
                 factors = chain(
                     (tab.take(pick(idx), axis=0) for tab, idx in zip(tabs, rows)),
                     (pick(vals),),
                 )
                 new_vals = next(factors)
                 if not checks:
-                    new_vals = new_vals * edge_row
+                    new_vals = new_vals * edge(x, mult)
                     reduce(new_vals)
                 for fac in factors:
                     new_vals *= fac
@@ -736,13 +727,8 @@ def _spanning_forest(t: Triangulation, sched: _Schedule) -> frozenset[int]:
     that stay live longest.  On all-color float s2xs1 in edge_order its
     sweeps held 0.91M live states in all (the sum of peak_out) at r=6 and
     1.33M at r=7, against 1.16M and 2.02M by descending last use and
-    6.15M and 21.3M in assignment order.
-
-    The vertex flips that let a forest edge skip half its colors (see
-    the module docstring) assume that every edge joins two distinct
-    vertices, which the Triangulation constructor guarantees; a complex
-    glued from face pairings, whose edges may be loops, needs this rule
-    revisited."""
+    6.15M and 21.3M in assignment order.  Kruskal never takes a loop, so
+    a 1-skeleton with loops is gauged on its other edges."""
     pos = {e: p for p, e in enumerate(sched.order)}
     root: dict[int, int] = {}
 

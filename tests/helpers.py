@@ -1,6 +1,5 @@
 """Oracles and fixtures shared by the test modules."""
 
-import math
 from itertools import combinations
 
 import numpy as np
@@ -15,22 +14,6 @@ def boundary_4_simplex() -> Triangulation:
 
 def sym(text: str) -> SeifertSymbol:
     return SeifertSymbol.parse(text)
-
-
-def cotangent_sum(b: int, a: int) -> float:
-    """Float oracle: s(b,a) = (4a)^-1 sum_l cot(pi l/a) cot(pi l b/a).
-    Both arguments are reduced to (-a/2, a/2] before the tangent, since
-    cot has period pi and large l*b would otherwise cost precision."""
-
-    def terms():
-        for l in range(1, a):
-            m = (l * b) % a
-            if 2 * m > a:
-                m -= a
-            ll = l if 2 * l <= a else l - a
-            yield 1.0 / (math.tan(math.pi * ll / a) * math.tan(math.pi * m / a))
-
-    return math.fsum(terms()) / (4 * a)
 
 
 def brute_force_count(t: Triangulation, r: int, even_only: bool = False) -> int:

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from quantum3.cli import _cotangent_sum
 from quantum3.complex3 import (
     enumerate_admissible,
     load_asset,
@@ -26,7 +27,7 @@ from quantum3.seifert import (
 )
 from quantum3.statesum import coloring_weight, tv, tv_prime
 
-from helpers import boundary_4_simplex, brute_force_count, cotangent_sum
+from helpers import boundary_4_simplex, brute_force_count
 
 
 def test_criterion_01_sphere_anchor_under_60s():
@@ -138,7 +139,7 @@ def test_criterion_09_dedekind_sums():
             continue
         checked += 1
         exact = dedekind_sum(b, a)
-        assert abs(float(exact) - cotangent_sum(b, a)) <= 1e-9, f"s({b},{a})"
+        assert abs(float(exact) - _cotangent_sum(b, a)) <= 1e-9, f"s({b},{a})"
         reciprocity = dedekind_sum(b, a) + dedekind_sum(a, b)
         assert reciprocity == Fraction(-1, 4) + Fraction(
             a * a + b * b + 1, 12 * a * b

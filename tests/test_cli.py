@@ -265,6 +265,14 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1 and err.startswith("error:")
     code, _, err = run(capsys, "verify", "splitting", "--r", "4")
     assert code == 1 and err.startswith("error:")
+    # The refined ratio route needs odd cone orders and zero Euler number.
+    for symbol, r, s, text in (
+        ("0; 2/1, 2/-1", 3, 2, "requires all cone orders odd"),
+        ("0; 3/1", 5, 4, "requires zero Euler number"),
+    ):
+        code, out, err = run(capsys, "seifert", symbol, "--r", str(r), "--s", str(s), "--refined")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and text in err and err.count("\n") == 1
 
 
 def test_statesum_rejects_pseudo_manifold(tmp_path, capsys):

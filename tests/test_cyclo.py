@@ -145,6 +145,16 @@ def test_zero_divisors_at_odd_r_raise():
             CycloNum.zero(r).inverse()
 
 
+def test_inverse_skips_primes_dividing_the_denominator():
+    # x = (1 + zeta) / p has no residues mod p, the first prime inverse
+    # tries, so that prime is skipped and a later one certifies y.
+    p, _ = next(_residue_primes(5))
+    x = CycloNum(5, [1, 1], p)
+    assert x * p == CycloNum(5, [1, 1])
+    y = x.inverse()
+    assert y * x == CycloNum.one(5)
+
+
 def test_every_nonzero_element_inverts_at_even_r():
     # For even r the ring is the field Q[x]/Phi_2r.
     rng = random.Random(20261019)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from quantum3.cli import _cotangent_sum
 from quantum3.complex3 import load_asset
 from quantum3.seifert import (
     SeifertSymbol,
@@ -24,7 +25,7 @@ from quantum3.seifert import (
 )
 from quantum3.statesum import tv, tv_prime
 
-from helpers import cotangent_sum, sym
+from helpers import sym
 
 
 def fraction_phase(frac: Fraction) -> complex:
@@ -244,7 +245,7 @@ def test_dedekind_matches_cotangent_oracle():
         b = rng.randrange(1, a)
         if math.gcd(a, b) != 1:
             continue
-        assert abs(float(dedekind_sum(b, a)) - cotangent_sum(b, a)) < 1e-9
+        assert abs(float(dedekind_sum(b, a)) - _cotangent_sum(b, a)) < 1e-9
         checked += 1
 
 
@@ -487,6 +488,12 @@ def test_tv_prime_validation():
         tv_prime_seifert(sym("0; 3/1, 3/-1, 5/1, 5/-1"), 15, 14)
     with pytest.raises(ValueError):
         tv_prime_seifert(sym("0; 9/1, 9/-1"), 3, 2)
+    # Coprime levels at s = r - 1 take the ratio route, which holds for
+    # odd cone orders and zero Euler number only.
+    with pytest.raises(ValueError, match="requires all cone orders odd"):
+        tv_prime_seifert(sym("0; 2/1, 2/-1"), 3, 2)
+    with pytest.raises(ValueError, match="requires zero Euler number"):
+        tv_prime_seifert(sym("0; 3/1"), 5, 4)
 
 
 def test_simplified_z_consistency():

@@ -776,6 +776,45 @@ def test_forest_sweep_matches_full_sweep(monkeypatch, name, components, r):
         assert abs(grands[s] - value) <= 1e-12 * abs(value)
 
 
+@pytest.mark.parametrize("name, forest_size", [("s3_boundary4simplex", 3), ("s2xs1", 8)])
+def test_forest_sweep_matches_full_sweep_with_a_loop(name, forest_size):
+    # Identifying the two ends of edge 0 makes it a loop; the faces and
+    # tetrahedra keep their edge ids.  Kruskal never takes the loop, and
+    # the gauge-fixed sweep must still give the residues and counts of
+    # the sweep over every coloring.
+    import numpy as np
+
+    t = load_asset(name)
+    a, b = t.edges[0]
+
+    def glued(v):
+        v = a if v == b else v
+        return v - (v > b)
+
+    m = SimpleNamespace(
+        edges=[tuple(glued(v) for v in ends) for ends in t.edges],
+        face_edges=t.face_edges,
+        tet_edges=t.tet_edges,
+        vertex_count=t.vertex_count - 1,
+    )
+    assert m.edges[0][0] == m.edges[0][1]
+    sched = _Schedule(m)
+    forest = statesum._spanning_forest(m, sched)
+    assert 0 not in forest and len(forest) == m.vertex_count - 1 == forest_size
+    for r in (4, 5, 6):
+        reps = evaluation_points(r)
+        rows = statesum._weight_rows(np, r, color_range(r))
+        p, omega = next(_residue_primes(r))
+        tables = statesum._vector_tables(np, rows, statesum._residue_column(r, reps, p, omega))
+        gauged = _run_frontier_vector(sched, reps, tables, forest=forest)
+        assert gauged == _run_frontier_vector(sched, reps, tables), r
+
+
+def test_finish_rejects_unreal_sums():
+    with pytest.raises(ArithmeticError, match="lost reality"):
+        statesum._finish(1 + 1e-3j, 5, 1, False, 832)
+
+
 def test_residue_tables_reject_asymmetric_weights():
     # The exact path carries one column per conjugate pair of roots, which
     # is sound only for weights fixed by zeta -> 1/zeta; zeta is not.
