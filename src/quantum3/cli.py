@@ -24,8 +24,9 @@ Subcommands:
 
 Exit codes: 0 success; 1 domain error, engine limit (a frontier key past
 62 bits, a coloring count past int64, a table index past int32, or
-running out of memory) or failed reality check (one line "error: ..."
-on stderr); 2 verification-suite failure (each failed property listed).
+running out of memory), a Seifert ratio that overflows float, or failed
+reality check (one line "error: ..." on stderr); 2 verification-suite
+failure (each failed property listed).
 
 Triangulation files are taken as paths when they exist, otherwise looked
 up by name in the asset directory (QUANTUM3_ASSETS overrides it).

@@ -21,6 +21,7 @@ the result y only after the exact check y * x == 1, which certifies it.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -610,8 +611,11 @@ def is_near_integer(z: complex, tol: float) -> int | None:
     None.  The relative term covers float rounding in large values (the
     Hempel ratio rows of 1; 5/1, 5/-1 stay within 5.5e-14 relative up to
     r = 250) without letting tol scale with |z|; once the bound reaches 1/2
-    no integer can be told apart, so the answer is None."""
+    no integer can be told apart, so the answer is None, as it is for a z
+    that is not finite."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        return None
     bound = tol + 1e-12 * abs(z)
     if bound >= 0.5 or abs(z.imag) >= bound:
         return None

@@ -40,6 +40,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,9 +57,13 @@ class SeifertSymbol:
     pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.g < 0:
-            raise ValueError(f"base genus must be non-negative, got {self.g}")
-        pairs = tuple((int(a), int(b)) for a, b in self.pairs)
+        g = _integer(self.g, "base genus")
+        if g < 0:
+            raise ValueError(f"base genus must be non-negative, got {g}")
+        pairs = tuple(
+            (_integer(a, "cone order"), _integer(b, "pair entry b_j")) for a, b in self.pairs
+        )
+        object.__setattr__(self, "g", g)
         object.__setattr__(self, "pairs", pairs)
         for a, b in pairs:
             if a < 1:
@@ -92,6 +97,18 @@ class SeifertSymbol:
     def __str__(self) -> str:
         body = ", ".join(f"{a}/{b}" for a, b in self.pairs)
         return f"{self.g}; {body}" if body else f"{self.g};"
+
+
+def _integer(value, name: str) -> int:
+    """value as an int through operator.index, so no float or string is
+    coerced; a bool, or anything operator.index refuses, raises
+    ValueError naming the value."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not the bool {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -226,6 +243,19 @@ def _z_full(sym: SeifertSymbol, r: int, b_star: list[int]) -> complex:
     return total
 
 
+def _finite(sym: SeifertSymbol, r: int, compute):
+    """compute(), a float or complex value of sym at level r.  A float
+    step that overflows, or a value that is not finite (an overflow to
+    inf, or inf times 0), raises ArithmeticError naming sym and r."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise ArithmeticError(f"the ratio formula for ({sym}) at r={r} overflows float")
+    return value
+
+
 def hansen_ratio(sym: SeifertSymbol, r: int) -> complex:
     """The ratio tau_r(M) / tau_r(S^2 x S^1) = r^{g-1} U_r Z_r /
     (2^{n+g-1} sqrt(prod a_j)).
@@ -233,20 +263,31 @@ def hansen_ratio(sym: SeifertSymbol, r: int) -> complex:
     Z_r uses the congruence inverses b*_j of b_j mod a_j, and reads them
     only mod a_j (see _z_full).  Only the squared modulus is
     orientation-independent, so consumers wanting an invariant should
-    use tv_seifert."""
+    use tv_seifert.
+
+    errors: ArithmeticError when a float step overflows or the ratio is
+    not finite (_finite), as with many fibers at a large level."""
     check_level(r)
     e_num, ded = _symbol_constants(sym)
     n, g = sym.n, sym.g
-    z = _z_full(sym, r, [pow(b, -1, a) for a, b in sym.pairs])
     sgn = (e_num > 0) - (e_num < 0)
     u_arg = (Fraction(3, 2 * r) - Fraction(3, 4)) * sgn + (e_num + 12 * ded) / (2 * r)
     u = (-1) ** n * _phase(u_arg)
-    return r ** (g - 1) * u * z / (2 ** (n + g - 1) * math.sqrt(math.prod(a for a, _ in sym.pairs)))
+
+    def ratio():
+        z = _z_full(sym, r, [pow(b, -1, a) for a, b in sym.pairs])
+        scale = 2 ** (n + g - 1) * math.sqrt(math.prod(a for a, _ in sym.pairs))
+        return r ** (g - 1) * u * z / scale
+
+    return _finite(sym, r, ratio)
 
 
 def tv_seifert(sym: SeifertSymbol, r: int) -> float:
-    """TV_{r,1} of the Seifert space: the squared modulus of the ratio."""
-    return abs(hansen_ratio(sym, r)) ** 2
+    """TV_{r,1} of the Seifert space: the squared modulus of the ratio.
+
+    errors: ArithmeticError when the ratio or its square overflows float
+    (_finite)."""
+    return _finite(sym, r, lambda: abs(hansen_ratio(sym, r)) ** 2)
 
 
 def _closed_form_order(sym: SeifertSymbol, a: int | None = None) -> int | None:

@@ -51,6 +51,7 @@ to odd ones.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -183,14 +184,18 @@ class _Schedule:
     width, is the number of digits a key needs.
 
     face_checks[p] and tet_checks[p] hold the faces and tetrahedra that
-    complete at step p.  Each tetrahedron absorbs the faces that complete
-    with it (they all pass through the new edge), each face once, and
-    checks[p] is the one list the engine reads: (edge ids, kind) pairs,
-    the faces that no tetrahedron absorbed first (kind None), then the
-    tetrahedra, each with the slot triples of the faces it absorbs as its
-    kind.  A face is matched to a slot triple by its edge ids, and face
-    weights are symmetric, so an edge that fills two slots needs no
-    special case."""
+    complete at step p, and checks[p] is the one list the engine reads:
+    (edge ids, kind) pairs.  One rule places every weight: each face
+    weight and each edge weight rides on the table of the first
+    tetrahedron to complete that holds it (ties in tet_checks order).  A
+    face is matched to a slot triple as an edge multiset (face weights are
+    symmetric), and an edge that fills two slots is carried once.  A face
+    that completes before any tetrahedron holding it does is a loose check
+    (kind None) at its step: it masks rows, and its weight rides on that
+    later tetrahedron.  So checks[p] lists the loose faces, then the
+    tetrahedra, each with kind (tris, slots): the slot triples of the
+    faces and the slots of the edges it carries.  An edge in no
+    tetrahedron (never one of a Triangulation) carries no weight."""
 
     def __init__(self, t: Triangulation):
         order = edge_order(t)
@@ -219,20 +224,23 @@ class _Schedule:
         ]
         self.slot_count = max(map(len, self.active_after))
 
+        faces_left = Counter(tuple(sorted(f)) for f in t.face_edges)
+        edges_left = set(chain(*t.tet_edges))
         self.checks: list[list[tuple]] = []
         for faces, tets in zip(self.face_checks, self.tet_checks):
-            loose = list(faces)
-            absorbed = []
+            held = []
             for slots in tets:
-                mine = []
+                tris = []
                 for tri in _TET_FACES:
-                    edges = sorted(slots[q] for q in tri)
-                    face = next((f for f in loose if sorted(f) == edges), None)
-                    if face is not None:
-                        loose.remove(face)
-                        mine.append(tri)
-                absorbed.append((slots, tuple(mine)))
-            self.checks.append([(f, None) for f in loose] + absorbed)
+                    tris += [tri] * faces_left.pop(tuple(sorted(slots[q] for q in tri)), 0)
+                # An edge that fills two slots rides on the first.
+                carried = tuple(slots.index(e) for e in dict.fromkeys(slots) if e in edges_left)
+                edges_left.difference_update(slots)
+                held.append((slots, (tuple(tris), carried)))
+            # A face that completes here is loose unless one of this step's
+            # tetrahedra carries it.
+            loose = [(f, None) for f in faces if tuple(sorted(f)) in faces_left]
+            self.checks.append(loose + held)
 
 
 # Bytes of the rows that one frontier step may build: the row limit of a
@@ -264,8 +272,9 @@ def _sort_reduce(np, keys, vals, cnts, modulus):
     are summed where they lie, with no sort; the engine reduces each
     batch so, and _merge the concatenated runs of a step or a split.
 
-    Pass freshly made arrays, held by no other name: each input is then
-    freed as soon as its sorted or reduced form exists."""
+    An input held by no other name is freed as soon as its sorted or
+    reduced form exists.  None is written to, so a batch may pass its
+    parents' own values or counts."""
     order = None
     if not (keys[1:] >= keys[:-1]).all():
         order = np.argsort(keys, kind="stable")
@@ -479,9 +488,10 @@ def _run_frontier_vector(
     (tables over the colors 0..r-2, so a digit is its color; see the
     module docstring and _spanning_forest).  At the step of a forest edge
     only the colors x with 2x <= r-2 are visited, and where 2x < r-2 the
-    color's multiplier is 2: its edge weight is doubled, and its batch's
-    counts are doubled at the merge (_merge).  An empty forest sums every
-    coloring.
+    color's multiplier is 2.  One list, gauge_mult, gives the
+    multipliers: a color's batch counts are multiplied at the merge
+    (_merge), and a forest edge's weight on the table of the tetrahedron
+    that carries it.  An empty forest sums every coloring.
 
     The key holds the color index of every frontier edge as one digit, in
     the order of sched.active_after: the edges that retire at a step hold
@@ -494,16 +504,16 @@ def _run_frontier_vector(
     split ends with one _merge of its parts.
 
     A step reads its checks from one list, sched.checks[p]: the loose
-    faces, then the completing tetrahedra.  A check reads a row map
-    (face_row or tet_row) and the value table of its kind, which one
-    builder makes once per sweep: face_tab for a loose face, and for a
-    tetrahedron tet_tab times the weights of the faces it absorbs.  For
-    the first check, the builder also folds in the edge weight of the
-    new edge's color times its multiplier, one table per kind, color and
-    multiplier, so a child row is multiplied by the edge weight only at
-    a step with no check.  Per color, one gather of a check's row map
-    gives both its admissibility mask (rows >= 0, combined over the
-    checks in place) and the rows its values are read from.  Table
+    faces, then the completing tetrahedra.  Every face and edge weight
+    rides on the table of the first tetrahedron to complete that holds it
+    (see _Schedule), so a loose face only masks rows, and values are
+    multiplied only at a step where a tetrahedron completes: at any other
+    step a child keeps its parent's value.  One builder makes each
+    tetrahedron's table once per sweep: tet_tab times the weights it
+    carries, a forest edge's weight times its color's multiplier.  Per
+    color, one gather of a check's row map (face_row or tet_row) gives
+    both its admissibility mask (rows >= 0, combined over the checks in
+    place) and the rows a tetrahedron's values are read from.  Table
     indices are int32: each digit is extracted once per step, and a
     check's index is built in one array from the digits (_grand_sum
     keeps nc^6 within int32).
@@ -539,11 +549,13 @@ def _run_frontier_vector(
     nc, ns = edge_tab.shape
     # A row is an int64 key, an int64 count and one value per column.
     row_limit = _STEP_BYTES // (16 + dtype.itemsize * ns)
-    # A forest edge takes only the colors x with 2x <= nc - 1 = r - 2; an x
-    # with 2x < r - 2 stands for its flip r - 2 - x too, so its edge weight
-    # and its batch's counts double (mult 2).
+    # gauge_mult[x] is the number of colors a forest edge's color x stands
+    # for: 2 where 2x < nc - 1 = r - 2 (x and its flip r - 2 - x), 1 where
+    # 2x = r - 2, and 0 past it (flips of colors already counted).  It
+    # scales a forest edge's weight and its batch's counts.
+    gauge_mult = [(2 * x < nc - 1) + (2 * x <= nc - 1) for x in range(nc)]
     colors = [(x, 1) for x in range(nc)]
-    gauged = [(x, 1 if 2 * x == nc - 1 else 2) for x in range((nc + 1) // 2)]
+    gauged = [(x, m) for x, m in enumerate(gauge_mult) if m]
     bits = _key_bits(sched, nc)
     digit_mask = (1 << bits) - 1
     tet_digits = np.unravel_index(np.flatnonzero(tet_row >= 0), (nc,) * 6)
@@ -553,31 +565,27 @@ def _run_frontier_vector(
         if modulus is not None:
             np.remainder(a, modulus, out=a)
 
-    def edge(x, mult):
-        out = edge_tab[x] * mult
-        reduce(out)
-        return out
+    forest_edge_tab = edge_tab * np.array(gauge_mult, dtype=dtype)[:, None]
+    reduce(forest_edge_tab)
 
-    def table(kind, x=None, mult=1):
-        """The value table of a check: face_tab for a loose face (kind
-        None), else tet_tab times the weights of the faces on the absorbed
-        slot triples kind, row by row; given a color x, that table times
-        the edge weight of x times mult, for a step's first check.  Cached
-        per (kind, x, mult); only the arrays made here are reduced."""
-        if kind is None and x is None:
-            return face_tab
-        if (kind, x, mult) not in built:
-            if x is not None:
-                out = table(kind) * edge(x, mult)
+    def table(kind):
+        """The value table of a tetrahedron: tet_tab times the weights it
+        carries, row by row.  kind is (tris, slots): the slot triples of
+        its faces and, for each edge it carries, (slot, whether the edge is
+        a forest edge, whose weight is times gauge_mult).  Cached per
+        kind; only the arrays made here are reduced."""
+        if kind not in built:
+            tris, slots = kind
+            out = tet_tab
+            for a, b, c in tris:
+                face = (tet_digits[a] * nc + tet_digits[b]) * nc + tet_digits[c]
+                out = out * face_tab[face_row[face]]
                 reduce(out)
-            else:
-                out = tet_tab
-                for a, b, c in kind:
-                    face = (tet_digits[a] * nc + tet_digits[b]) * nc + tet_digits[c]
-                    out = out * face_tab[face_row[face]]
-                    reduce(out)
-            built[kind, x, mult] = out
-        return built[kind, x, mult]
+            for q, gauge in slots:
+                out = out * (forest_edge_tab if gauge else edge_tab)[tet_digits[q]]
+                reduce(out)
+            built[kind] = out
+        return built[kind]
 
     def sweep(p0: int, frontier: list, stop: int):
         """The rows [keys, vals, cnts] of frontier, which hold the states
@@ -634,11 +642,12 @@ def _run_frontier_vector(
             digits: dict[int, object] = {}
 
             def check(ids, kind):
-                """(kind, row_map, base, stride) of the check on the edges
-                ids, its values in table(kind): color x of e reads row_map
-                (face_row for a loose face, else tet_row) at base + x *
-                stride, the stride being the place values of every slot e
-                fills."""
+                """(row_map, base, stride, tab) of the check on the edges
+                ids: color x of e reads row_map (face_row for a loose face,
+                else tet_row) at base + x * stride, the stride being the
+                place values of every slot e fills, and a tetrahedron's
+                values from its table tab (None for a loose face, which
+                only masks rows)."""
                 base = np.zeros(len(keys), dtype=np.int32)
                 stride = 0
                 for eid in ids:
@@ -650,12 +659,16 @@ def _run_frontier_vector(
                     if eid not in digits:
                         digits[eid] = ((keys >> bits * rank[eid]) & digit_mask).astype(np.int32)
                     base += digits[eid]
-                return kind, face_row if kind is None else tet_row, base, stride
+                if kind is None:
+                    return face_row, base, stride, None
+                tris, slots = kind
+                gauges = tuple((q, ids[q] in forest) for q in slots)
+                return tet_row, base, stride, table((tris, gauges))
 
             checks = [check(ids, kind) for ids, kind in sched.checks[p]]
             del digits
             for x, mult in gauged if e in forest else colors:
-                rows = [row_map.take(base + x * w) for _, row_map, base, w in checks]
+                rows = [row_map.take(base + x * w) for row_map, base, w, _ in checks]
                 masks = (idx >= 0 for idx in rows)
                 mask = next(masks, None)
                 for adm in masks:
@@ -666,28 +679,24 @@ def _run_frontier_vector(
                 def pick(a):
                     return a if sel is None else a.take(sel, axis=0)
 
-                # Factor order edge, loose faces, tets, parent value, which
-                # fixes the float rounding; one gathered factor at a time,
-                # each residue product reduced before the next.  The edge
-                # weight rides on the first check's table, so only a step
-                # with no check multiplies rows by it.
-                tabs = [
-                    table(kind, x, mult) if q == 0 else table(kind)
-                    for q, (kind, *_) in enumerate(checks)
-                ]
+                # Factor order tetrahedra, parent value, which fixes the
+                # float rounding; one gathered factor at a time, each
+                # residue product reduced before the next.  At a step with
+                # no tetrahedron the children keep their parents' values.
                 factors = chain(
-                    (tab.take(pick(idx), axis=0) for tab, idx in zip(tabs, rows)),
+                    (
+                        tab.take(pick(idx), axis=0)
+                        for (*_, tab), idx in zip(checks, rows)
+                        if tab is not None
+                    ),
                     (pick(vals),),
                 )
                 new_vals = next(factors)
-                if not checks:
-                    new_vals = new_vals * edge(x, mult)
-                    reduce(new_vals)
                 for fac in factors:
                     new_vals *= fac
                     reduce(new_vals)
                     del fac
-                del factors, rows, tabs
+                del factors, rows
                 child = pick(kept)
                 if new_shift is not None:
                     child = child | np.int64(x << new_shift)

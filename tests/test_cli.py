@@ -126,6 +126,35 @@ def test_seifert_domain_errors(capsys):
         assert code == 1 and err.startswith("error:")
 
 
+# 200 fibers of cone order 3: the squared ratio first overflows float at r=23.
+MANY_FIBERS = "0; " + ", ".join(["3/1, 3/-1"] * 100)
+
+
+@pytest.mark.parametrize(
+    "r",
+    [
+        # The ratio overflows to inf and inf * 0 gives NaN.
+        100,
+        # The ratio is finite, but its square overflows.
+        23,
+    ],
+)
+def test_seifert_overflow_exits_1(r, capsys):
+    code, out, err = run(capsys, "seifert", MANY_FIBERS, "--r", str(r))
+    assert code == 1 and "NaN" not in out
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert f"at r={r} overflows float" in lines[0]
+
+
+def test_hempel_overflow_exits_1(capsys):
+    code, out, err = run(capsys, "hempel", MANY_FIBERS, "--k", "1", "--r-max", "30")
+    assert code == 1 and "NaN" not in out
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "at r=23 overflows float" in lines[0]
+
+
 def test_seifert_rejects_s_not_coprime_to_r(capsys):
     for flags in ((), ("--refined",)):
         code, out, err = run(

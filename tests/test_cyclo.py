@@ -306,6 +306,9 @@ def test_is_near_integer():
     assert is_near_integer(1e6 + 0.5, 1e-6) is None
     assert is_near_integer(390457599.9999 + 1e-3j, 1e-6) is None
     assert is_near_integer(1e12 + 1e-3, 1e-6) is None
+    # A value that is not finite is near no integer.
+    for z in (math.nan, math.inf, -math.inf, complex(1, math.inf)):
+        assert is_near_integer(z, 1e-6) is None
 
 
 def _small_primes(limit: int) -> list[int]:

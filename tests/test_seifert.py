@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,33 @@ def test_symbol_validation_and_accessors():
         SeifertSymbol(0, ((4, 2),))
     with pytest.raises(ValueError):
         SeifertSymbol(0, ((0, 1),))
+
+
+@pytest.mark.parametrize(
+    "g, pairs, bad",
+    [
+        (0, ((5, 1.5),), "1.5"),
+        (0, ((5, "2"),), "'2'"),
+        (0.5, (), "0.5"),
+        (True, (), "True"),
+        (0, ((5, False),), "False"),
+        (0, ((True, 1),), "True"),
+    ],
+)
+def test_symbol_takes_integers_only(g, pairs, bad):
+    # No value is coerced: a float, a string or a bool raises ValueError
+    # naming it.
+    with pytest.raises(ValueError, match=f"integer.*{re.escape(bad)}"):
+        SeifertSymbol(g, pairs)
+
+
+def test_symbol_takes_integer_like_values():
+    # operator.index takes numpy integers and stores plain ints.
+    import numpy as np
+
+    s = SeifertSymbol(np.int64(1), ((np.int32(5), np.int64(-2)),))
+    assert s == SeifertSymbol(1, ((5, -2),)) and type(s.g) is int
+    assert all(type(v) is int for pair in s.pairs for v in pair)
 
 
 def test_symbol_text_round_trip():

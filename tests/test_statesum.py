@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
@@ -1091,6 +1092,21 @@ def test_count_guard_before_doubling():
                 _float_sweep(m, 3, row_limit, forest)
 
 
+def _edge_merges(t):
+    """t with edge ids i < j made one, for every pair (i, j): some merges
+    make one edge fill two slots of a face or a tetrahedron."""
+    for i, j in combinations(range(len(t.edges)), 2):
+
+        def merged(ids):
+            return tuple(i if e == j else e - (e > j) for e in ids)
+
+        yield (i, j), SimpleNamespace(
+            edges=t.edges[:-1],
+            face_edges=tuple(merged(f) for f in t.face_edges),
+            tet_edges=tuple(merged(slots) for slots in t.tet_edges),
+        )
+
+
 @pytest.mark.parametrize("r", [4, 5])
 def test_engine_handles_an_edge_that_fills_two_slots(monkeypatch, r):
     # Merging two edge ids of the sphere makes one edge fill two slots of
@@ -1106,22 +1122,61 @@ def test_engine_handles_an_edge_that_fills_two_slots(monkeypatch, r):
     tables = statesum._vector_tables(np, rows, column)
     # A row limit of 10^9: no sweep splits.
     monkeypatch.setattr(statesum, "_STEP_BYTES", 10**9 * _row_bytes(tables))
-    for i, j in combinations(range(len(t.edges)), 2):
-
-        def merged(ids):
-            return tuple(i if e == j else e - (e > j) for e in ids)
-
-        m = SimpleNamespace(
-            edges=t.edges[:-1],
-            face_edges=tuple(merged(f) for f in t.face_edges),
-            tet_edges=tuple(merged(slots) for slots in t.tet_edges),
-        )
+    for (i, j), m in _edge_merges(t):
         weights = [coloring_weight(m, c) for c in enumerate_admissible(m, r)]
         grands, count = statesum._run_frontier_vector(_Schedule(m), reps, tables)
         assert count == len(weights), (i, j)
         for s in reps:
             want = sum(w.evaluate(s) for w in weights).real
             assert abs(grands[s] - want) <= 1e-9 * (1 + abs(want)), (i, j, s)
+
+
+def test_every_weight_rides_on_the_first_tetrahedron_that_holds_it():
+    # _Schedule.checks carries each face (as an edge multiset) and each
+    # edge exactly once, on the first tetrahedron to complete that holds
+    # it, which completes no earlier than it; the loose checks of a step
+    # are the faces that complete there and that no tetrahedron
+    # completing there holds.
+    sphere = load_asset("s3_boundary4simplex")
+    s2xs1 = load_asset("s2xs1")
+    cases = [sphere, s2xs1, disjoint_union(sphere, s2xs1)]
+    cases += [m for _, m in _edge_merges(sphere)]
+    for t in cases:
+        sched = _Schedule(t)
+        pos = {e: p for p, e in enumerate(sched.order)}
+        faces = Counter(tuple(sorted(f)) for f in t.face_edges)
+        edges = {e for slots in t.tet_edges for e in slots}
+        for p, checks in enumerate(sched.checks):
+            loose = [ids for ids, kind in checks if kind is None]
+            tets = [(ids, kind) for ids, kind in checks if kind is not None]
+            # The loose faces come first, then every tetrahedron that
+            # completes at p.
+            assert checks[: len(loose)] == [(f, None) for f in loose]
+            assert [ids for ids, _ in tets] == sched.tet_checks[p]
+            assert all(max(pos[e] for e in slots) == p for slots, _ in tets)
+            held = {
+                tuple(sorted(slots[q] for q in tri))
+                for slots, _ in tets
+                for tri in statesum._TET_FACES
+            }
+            completing = [f for f in t.face_edges if max(pos[e] for e in f) == p]
+            assert sorted(loose) == sorted(
+                f for f in completing if tuple(sorted(f)) not in held
+            )
+            for slots, (tris, carried) in tets:
+                # A tetrahedron carries every face and edge it holds that
+                # no earlier one carries, each once.
+                mine = Counter(tuple(sorted(slots[q] for q in tri)) for tri in tris)
+                left = {tuple(sorted(slots[q] for q in tri)) for tri in statesum._TET_FACES}
+                assert mine == Counter({f: faces[f] for f in left if faces[f]})
+                for f in mine:
+                    assert max(pos[e] for e in f) <= p
+                    del faces[f]
+                first_left = [e for e in dict.fromkeys(slots) if e in edges]
+                assert [slots[q] for q in carried] == first_left
+                assert all(pos[slots[q]] <= p for q in carried)
+                edges -= set(slots)
+        assert not faces and not edges
 
 
 def test_repeated_calls_are_consistent():
