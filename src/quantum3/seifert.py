@@ -244,15 +244,17 @@ def _z_full(sym: SeifertSymbol, r: int, b_star: list[int]) -> complex:
 
 
 def _finite(sym: SeifertSymbol, r: int, compute):
-    """compute(), a float or complex value of sym at level r.  A float
-    step that overflows, or a value that is not finite (an overflow to
-    inf, or inf times 0), raises ArithmeticError naming sym and r."""
+    """compute(), a float or complex value of sym at level r by any of the
+    Seifert formulas.  A float step that overflows (a division by a power
+    that underflowed to 0 among them), or a value that is not finite (an
+    overflow to inf, or inf times 0), raises ArithmeticError naming sym
+    and r."""
     try:
         value = compute()
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not cmath.isfinite(value):
-        raise ArithmeticError(f"the ratio formula for ({sym}) at r={r} overflows float")
+        raise ArithmeticError(f"the value of ({sym}) at r={r} overflows float")
     return value
 
 
@@ -352,23 +354,30 @@ def tv_closed_form(
     not depend on s coprime to a; the refined form is V_g^2 / 4^g.
 
     errors: ValueError when the hypotheses fail or (a, s, refined) is not
-    an evaluation point (cyclo.check_point)."""
+    an evaluation point (cyclo.check_point); ArithmeticError when a float
+    step overflows or the value is not finite (_finite), as with a large
+    genus."""
     cert = check_unit_criterion(sym, a)
     a = _closed_form_order(sym, a)
     check_point(a, s, refined)
     if cert is None:
         return 0.0
     n, g = sym.n, sym.g
-    if n == 0:
-        # j s runs over the nonzero residues mod a; reducing it keeps the
-        # sine argument small and the even power hides the sign change.
-        verlinde = (a / 2) ** (g - 1) * math.fsum(
-            math.sin(math.pi * (j * s % a) / a) ** (2 - 2 * g) for j in range(1, a)
-        )
-        return verlinde**2 / 4**g if refined else verlinde**2
-    two_exp = 2 * n + 4 * g - 4 if refined else 2 * n + 2 * g - 4
-    sin_pow = math.sin(math.pi * cert.b_star * s / a) ** (2 * n + 4 * g - 4)
-    return a ** (n + 2 * g - 2) / 2 ** two_exp / sin_pow
+
+    def value():
+        if n == 0:
+            # j s runs over the nonzero residues mod a; reducing it keeps
+            # the sine argument small and the even power hides the sign
+            # change.
+            verlinde = (a / 2) ** (g - 1) * math.fsum(
+                math.sin(math.pi * (j * s % a) / a) ** (2 - 2 * g) for j in range(1, a)
+            )
+            return verlinde**2 / 4**g if refined else verlinde**2
+        two_exp = 2 * n + 4 * g - 4 if refined else 2 * n + 2 * g - 4
+        sin_pow = math.sin(math.pi * cert.b_star * s / a) ** (2 * n + 4 * g - 4)
+        return a ** (n + 2 * g - 2) / 2 ** two_exp / sin_pow
+
+    return _finite(sym, a, value)
 
 
 def level_route(sym: SeifertSymbol, r: int) -> str:

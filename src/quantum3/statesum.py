@@ -298,46 +298,52 @@ def _sort_reduce(np, keys, vals, cnts, modulus):
     return keys.take(starts), out, cnts
 
 
-def _drain(np, chunks: list):
-    """The chunks concatenated; the list is emptied so they can be freed."""
-    out = np.concatenate(chunks)
-    chunks.clear()
-    return out
-
-
-def _merge(
-    np, key_runs: list, val_runs: list, cnt_runs: list, modulus, step: int, mults=None
-):
+def _merge(np, runs: list, modulus, step: int):
     """The rows of the runs merged into one frontier by _sort_reduce; the
-    lists are emptied.  The runs are a step's reduced color batches, or
-    the parts of a split (see _run_frontier_vector); there is at least
-    one, and empty runs are fine.  mults, when given, holds one count
-    multiplier per run (1, or 2 for a doubled color of a forest edge),
-    applied here.
+    list is emptied.  A run is (keys, vals, cnts, mult): a step's reduced
+    color batch, or a part of a split with mult 1 (see
+    _run_frontier_vector); there is at least one, and empty runs are
+    fine.  Each column's runs are freed once the column is concatenated.
 
-    This is the engine's one count check.  A child's count is its
-    parent's count times its color's multiplier, and a color batch sums
-    its rows with equal keys before the multiplier is applied, so within
-    a batch counts stay bounded by the parents' total that the last merge
-    checked.  Here the runs' totals times their multipliers are summed as
-    Python ints first, and a total that passes int64 raises
-    ArithmeticError naming the step before any run is multiplied; after
-    that no multiplied run and no sum of rows can pass int64."""
-    mults = mults or [1] * len(cnt_runs)
-    total = sum(m * int(run.sum()) for m, run in zip(mults, cnt_runs))
+    This is the one place a multiplier is applied: a forest edge's color
+    x stands for mult = gauge_mult[x] colorings (1 or 2), so its run's
+    values (reduced mod modulus, unless it is None) and counts are scaled
+    by mult in the concatenated copy, before any sum across runs.  A run
+    may share its arrays with the caller, such as a batch holding its
+    parents' values at a step with no check; those arrays are not
+    written to.
+
+    This is also the engine's one count check.  A child's count is its
+    parent's count, and a color batch sums its rows with equal keys
+    before its multiplier is applied, so within a batch counts stay
+    bounded by the parents' total that the last merge checked.  Here the
+    runs' totals times their multipliers are summed as Python ints first,
+    and a total that passes int64 raises ArithmeticError naming the step
+    before any run is scaled; after that no scaled run and no sum of rows
+    can pass int64."""
+    total = sum(mult * int(cnts.sum()) for *_, cnts, mult in runs)
     if total >= 2**63:
         raise ArithmeticError(
             f"coloring count passes int64 at step {step} ({total} partial colorings)"
         )
-    # A run may be its parents' own count array: multiply into a copy.
-    cnt_runs[:] = [run if m == 1 else run * m for m, run in zip(mults, cnt_runs)]
-    return _sort_reduce(
-        np,
-        _drain(np, key_runs),
-        _drain(np, val_runs),
-        _drain(np, cnt_runs),
-        modulus,
-    )
+    keys, vals, cnts, mults = (list(column) for column in zip(*runs))
+    runs.clear()
+    ends = np.cumsum([0, *map(len, keys)]).tolist()
+    spans = [(lo, hi, mult) for lo, hi, mult in zip(ends, ends[1:], mults) if mult != 1]
+
+    def join(chunks, spans=(), mod=None):
+        """The chunks concatenated, the list emptied so that they can be
+        freed; the rows of each span (lo, hi, mult) are times mult in the
+        copy, reduced mod mod unless it is None."""
+        out = np.concatenate(chunks)
+        chunks.clear()
+        for lo, hi, mult in spans:
+            out[lo:hi] *= mult
+            if mod is not None:
+                np.remainder(out[lo:hi], mod, out=out[lo:hi])
+        return out
+
+    return _sort_reduce(np, join(keys), join(vals, spans, modulus), join(cnts, spans), modulus)
 
 
 def _weight_rows(np, r: int, colors: tuple[int, ...]):
@@ -489,9 +495,10 @@ def _run_frontier_vector(
     module docstring and _spanning_forest).  At the step of a forest edge
     only the colors x with 2x <= r-2 are visited, and where 2x < r-2 the
     color's multiplier is 2.  One list, gauge_mult, gives the
-    multipliers: a color's batch counts are multiplied at the merge
-    (_merge), and a forest edge's weight on the table of the tetrahedron
-    that carries it.  An empty forest sums every coloring.
+    multipliers, and one rule applies them: the merge of the step
+    (_merge) scales a forest color's values and counts by its
+    multiplier, before any sum across the edge's colors.  An empty forest
+    sums every coloring.
 
     The key holds the color index of every frontier edge as one digit, in
     the order of sched.active_after: the edges that retire at a step hold
@@ -501,7 +508,8 @@ def _run_frontier_vector(
     keep the order of keys, so each color of the sorted parents gives a
     batch of children with non-decreasing keys, which _sort_reduce sums
     with no sort, and the step ends with one _merge of its batches, as a
-    split ends with one _merge of its parts.
+    split ends with one _merge of its parts: one list of (keys, vals,
+    cnts, mult) runs, mult being 1 for a part.
 
     A step reads its checks from one list, sched.checks[p]: the loose
     faces, then the completing tetrahedra.  Every face and edge weight
@@ -510,13 +518,12 @@ def _run_frontier_vector(
     multiplied only at a step where a tetrahedron completes: at any other
     step a child keeps its parent's value.  One builder makes each
     tetrahedron's table once per sweep: tet_tab times the weights it
-    carries, a forest edge's weight times its color's multiplier.  Per
-    color, one gather of a check's row map (face_row or tet_row) gives
-    both its admissibility mask (rows >= 0, combined over the checks in
-    place) and the rows a tetrahedron's values are read from.  Table
-    indices are int32: each digit is extracted once per step, and a
-    check's index is built in one array from the digits (_grand_sum
-    keeps nc^6 within int32).
+    carries, each at its plain weight.  Per color, one gather of a
+    check's row map (face_row or tet_row) gives both its admissibility
+    mask (rows >= 0, combined over the checks in place) and the rows a
+    tetrahedron's values are read from.  Table indices are int32: each
+    digit is extracted once per step, and a check's index is built in
+    one array from the digits (_grand_sum keeps nc^6 within int32).
 
     A step never builds more than row_limit rows, _STEP_BYTES over the
     bytes of one row.  A parent has at most nc children, so two or more
@@ -551,8 +558,8 @@ def _run_frontier_vector(
     row_limit = _STEP_BYTES // (16 + dtype.itemsize * ns)
     # gauge_mult[x] is the number of colors a forest edge's color x stands
     # for: 2 where 2x < nc - 1 = r - 2 (x and its flip r - 2 - x), 1 where
-    # 2x = r - 2, and 0 past it (flips of colors already counted).  It
-    # scales a forest edge's weight and its batch's counts.
+    # 2x = r - 2, and 0 past it (flips of colors already counted).  _merge
+    # scales the values and counts of the edge's color batch by it.
     gauge_mult = [(2 * x < nc - 1) + (2 * x <= nc - 1) for x in range(nc)]
     colors = [(x, 1) for x in range(nc)]
     gauged = [(x, m) for x, m in enumerate(gauge_mult) if m]
@@ -565,15 +572,13 @@ def _run_frontier_vector(
         if modulus is not None:
             np.remainder(a, modulus, out=a)
 
-    forest_edge_tab = edge_tab * np.array(gauge_mult, dtype=dtype)[:, None]
-    reduce(forest_edge_tab)
-
     def table(kind):
         """The value table of a tetrahedron: tet_tab times the weights it
-        carries, row by row.  kind is (tris, slots): the slot triples of
-        its faces and, for each edge it carries, (slot, whether the edge is
-        a forest edge, whose weight is times gauge_mult).  Cached per
-        kind; only the arrays made here are reduced."""
+        carries, row by row.  kind is (tris, slots) as in sched.checks:
+        the slot triples of its faces and the slots of the edges it
+        carries.  A forest edge's weight is its plain weight here: _merge
+        scales its color's values.  Cached per kind; only the arrays made
+        here are reduced."""
         if kind not in built:
             tris, slots = kind
             out = tet_tab
@@ -581,8 +586,8 @@ def _run_frontier_vector(
                 face = (tet_digits[a] * nc + tet_digits[b]) * nc + tet_digits[c]
                 out = out * face_tab[face_row[face]]
                 reduce(out)
-            for q, gauge in slots:
-                out = out * (forest_edge_tab if gauge else edge_tab)[tet_digits[q]]
+            for q in slots:
+                out = out * edge_tab[tet_digits[q]]
                 reduce(out)
             built[kind] = out
         return built[kind]
@@ -617,14 +622,10 @@ def _run_frontier_vector(
                 # The parts' children first share keys at the step where
                 # the split edge retires: merge them there.
                 q = min(sched.last_use[before[top]], stop)
-                key_runs, val_runs, cnt_runs = [], [], []
+                runs = []
                 while parts:
-                    part_keys, part_vals, part_cnts = sweep(p, parts.pop(), q)
-                    key_runs.append(part_keys)
-                    val_runs.append(part_vals)
-                    cnt_runs.append(part_cnts)
-                    del part_keys, part_vals, part_cnts
-                keys, vals, cnts = _merge(np, key_runs, val_runs, cnt_runs, modulus, q)
+                    runs.append((*sweep(p, parts.pop(), q), 1))
+                keys, vals, cnts = _merge(np, runs, modulus, q)
                 p = q + 1
                 continue
             rank = {x: i for i, x in enumerate(before)}
@@ -638,7 +639,7 @@ def _run_frontier_vector(
                 kept <<= new_shift + bits
                 kept |= low
                 del low
-            key_runs, val_runs, cnt_runs, mults = [], [], [], []
+            runs = []
             digits: dict[int, object] = {}
 
             def check(ids, kind):
@@ -661,9 +662,7 @@ def _run_frontier_vector(
                     base += digits[eid]
                 if kind is None:
                     return face_row, base, stride, None
-                tris, slots = kind
-                gauges = tuple((q, ids[q] in forest) for q in slots)
-                return tet_row, base, stride, table((tris, gauges))
+                return tet_row, base, stride, table(kind)
 
             checks = [check(ids, kind) for ids, kind in sched.checks[p]]
             del digits
@@ -701,16 +700,10 @@ def _run_frontier_vector(
                 if new_shift is not None:
                     child = child | np.int64(x << new_shift)
                 # A batch whose children all fail a check is an empty run.
-                child, new_vals, child_cnts = _sort_reduce(
-                    np, child, new_vals, pick(cnts), modulus
-                )
-                key_runs.append(child)
-                val_runs.append(new_vals)
-                cnt_runs.append(child_cnts)
-                mults.append(mult)
-                del child, new_vals, child_cnts
+                runs.append((*_sort_reduce(np, child, new_vals, pick(cnts), modulus), mult))
+                del child, new_vals
             del keys, vals, cnts, kept, checks
-            keys, vals, cnts = _merge(np, key_runs, val_runs, cnt_runs, modulus, p, mults)
+            keys, vals, cnts = _merge(np, runs, modulus, p)
             if peak_out is not None:
                 peak_out.append(len(keys))
             p += 1

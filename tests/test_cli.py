@@ -131,17 +131,27 @@ MANY_FIBERS = "0; " + ", ".join(["3/1, 3/-1"] * 100)
 
 
 @pytest.mark.parametrize(
-    "r",
+    "symbol, r",
     [
         # The ratio overflows to inf and inf * 0 gives NaN.
-        100,
+        pytest.param(MANY_FIBERS, 100, id="100"),
         # The ratio is finite, but its square overflows.
-        23,
+        pytest.param(MANY_FIBERS, 23, id="23"),
+        # The Verlinde form of a genus-300 surface times S^1: an overflow
+        # to inf at r=7, an overflowing float power at r=5.
+        pytest.param("300;", 7, id="verlinde-inf"),
+        pytest.param("300;", 5, id="verlinde-power"),
+        # The unit-certificate form: a^(n+2g-2) / 2^(2n+2g-4) passes float
+        # at a=401, and the value overflows to inf at a=101.
+        pytest.param("0; " + ", ".join(["401/1, 401/-1"] * 200), 401, id="closed-form-int"),
+        pytest.param("0; " + ", ".join(["101/1, 101/-1"] * 40), 101, id="closed-form-inf"),
+        # The sine power underflows to 0 before the division.
+        pytest.param("224; 7/1, 7/-1", 7, id="closed-form-zero-sine-power"),
     ],
 )
-def test_seifert_overflow_exits_1(r, capsys):
-    code, out, err = run(capsys, "seifert", MANY_FIBERS, "--r", str(r))
-    assert code == 1 and "NaN" not in out
+def test_seifert_overflow_exits_1(symbol, r, capsys):
+    code, out, err = run(capsys, "seifert", symbol, "--r", str(r))
+    assert code == 1 and "NaN" not in out and "Infinity" not in out
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert f"at r={r} overflows float" in lines[0]
@@ -153,6 +163,16 @@ def test_hempel_overflow_exits_1(capsys):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "at r=23 overflows float" in lines[0]
+
+
+def test_hempel_closed_form_overflow_exits_1(capsys):
+    # Every level of a symbol with no pairs takes the Verlinde form, which
+    # first overflows at r=4 for genus 300.
+    code, out, err = run(capsys, "hempel", "300;", "--k", "1", "--r-max", "8")
+    assert code == 1 and "NaN" not in out and "Infinity" not in out
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "(300;) at r=4 overflows float" in lines[0]
 
 
 def test_seifert_rejects_s_not_coprime_to_r(capsys):

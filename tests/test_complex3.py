@@ -113,7 +113,7 @@ def test_admissible_triple_cases():
     assert not admissible_triple(4, 4, 4, 7)  # sum 12 > 10
 
 
-def test_greedy_order_is_permutation_and_faces_partitioned():
+def test_edge_order_is_permutation_and_faces_partitioned():
     for t in (boundary_4_simplex(), load_asset("s2xs1.json")):
         order = edge_order(t)
         assert sorted(order) == list(range(len(t.edges)))

@@ -365,6 +365,13 @@ def test_closed_form_validation():
         tv_closed_form(sym("0; 5/2, 5/-1"), 1)
 
 
+def test_closed_form_overflow_raises():
+    # The Verlinde form of genus 300 at a=7 overflows to inf; its message
+    # names the symbol and the level.
+    with pytest.raises(ArithmeticError, match=r"\(300;\) at r=7 overflows float"):
+        tv_closed_form(SeifertSymbol.parse("300;"), 1, a=7)
+
+
 def test_closed_form_oracle_agreement_positive_n():
     # The closed form's hypotheses hold and the ratio oracle agrees for n >= 2.
     for a in (5, 7):

@@ -968,6 +968,37 @@ def test_float_count_overflow_raises():
         tv(five, 7, 1, method="float")
 
 
+@pytest.mark.parametrize("modulus", [None, 7])
+def test_merge_scales_copies_of_its_runs(modulus):
+    # A run may share its arrays with the caller, as a batch holding its
+    # parents' values and counts does at a step with no check.  The merge
+    # scales the run of multiplier 2 in its own copy (a residue p-1 = 6
+    # becomes p-2 = 5 mod 7) and leaves every caller's array as it was.
+    import numpy as np
+
+    dtype = np.float64 if modulus is None else np.int64
+    once = (np.array([0, 2]), np.array([[1, 0], [6, 4]], dtype=dtype), np.array([3, 5]))
+    twice = (np.array([1, 2]), np.array([[6, 1], [2, 3]], dtype=dtype), np.array([4, 1]))
+    before = [a.copy() for a in once + twice]
+    runs = [(*once, 1), (*twice, 2)]
+    keys, vals, cnts = _merge(np, runs, modulus, 0)
+    assert runs == []
+    for a, b in zip(once + twice, before):
+        assert np.array_equal(a, b)
+    want = [[1, 0], [12, 2], [10, 10]]
+    assert keys.tolist() == [0, 1, 2] and cnts.tolist() == [3, 8, 7]
+    if modulus is None:
+        assert vals.tolist() == want
+    else:
+        assert vals.tolist() == [[v % modulus for v in row] for row in want]
+        assert vals[1, 0] == modulus - 2
+    # A total past int64 raises, naming the step, before any run is scaled.
+    big = (np.array([0]), np.ones((1, 1), dtype=dtype), np.array([2**62]))
+    with pytest.raises(ArithmeticError, match=r"passes int64 at step 9 "):
+        _merge(np, [(*big, 2)], modulus, 9)
+    assert big[1].tolist() == [[1]] and big[2].tolist() == [2**62]
+
+
 def test_over_budget_sweep_splits_frontier(monkeypatch):
     t = load_asset("s2xs1")
     reps = (1, 2, 3, 4)
